@@ -88,19 +88,8 @@ class SqlAnalytics(ServiceWorkload):
         self.session_id = 0
 
     def prepare(self) -> None:
-        self.data = initial_data(self.seed, self.rows, self.customers)
-
-    def setup(self) -> List[str]:
-        orders, people = self.data
-        database = Database(buffer_frames=BUFFER_FRAMES)
-        workbook = Workbook(database=database)
-        database.execute(ORDERS_DDL)
-        database.execute(CUSTOMERS_DDL)
-        database.table("orders").insert_many(orders)
-        database.table("customers").insert_many(people)
-        database.execute(ORDERS_INDEX)
-        self._serve(workbook)
-        self.session_id = self.service.connect("analyst").session_id
+        """The seeded data, and the sqlite reference loaded with it."""
+        self.data = orders, people = initial_data(self.seed, self.rows, self.customers)
         self.reference = SqliteComparator()
         sqlite = self.reference.connection
         sqlite.execute(ORDERS_DDL)
@@ -108,6 +97,19 @@ class SqlAnalytics(ServiceWorkload):
         sqlite.executemany(INSERT, orders)
         sqlite.executemany("INSERT INTO customers VALUES (?, ?, ?)", people)
         sqlite.commit()
+
+    def setup(self) -> List[str]:
+        orders, people = self.data
+        database = Database(buffer_frames=BUFFER_FRAMES)
+        workbook = Workbook(database=database)
+        database.execute(ORDERS_DDL)
+        database.execute(CUSTOMERS_DDL)
+        self.load(database, "orders", orders)
+        self.load(database, "customers", people)
+        database.execute(ORDERS_INDEX)
+        self._serve(workbook)
+        self.session_id = self.service.connect("analyst").session_id
+        self.mark()
         problems = self.run_untimed(QUERIES_PER_INSERT + 1)  # every template and an INSERT
         self.service.compact(force=True)
         return problems

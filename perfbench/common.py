@@ -7,17 +7,24 @@ A workload object provides:
 * ``prepare()`` — generate the seeded data (benchmark work, untimed);
 * ``setup()`` — seeding, index build, region install, a warm pass over
   every op template and a forced snapshot (all of it timed as
-  ``setup_s``); it returns the warm pass's mismatches;
+  ``setup_s``, with ``mark()`` between its stages); it returns the warm
+  pass's mismatches;
 * ``op_class(op)`` and ``apply(op) -> (output, class_seconds)`` — one
   user-visible operation through the public API; ``class_seconds``
   overrides the latency recorded for the op's class (a transaction
   records its COMMIT), ``None`` keeps the op's own latency;
 * ``check(op, output)`` and ``final_checks()`` — the output oracles,
   always run outside the timed span; they return mismatch descriptions;
-* ``crash_and_recover() -> (seconds, mismatches)`` — ``close(drain=False)``,
-  the timed reopens, and the live-versus-recovered comparison;
+* ``crash_and_recover(probe) -> (seconds, mismatches)`` —
+  ``close(drain=False)``, the timed reopens, and the live-versus-recovered
+  comparison;
 * ``counters()`` — a flat dict of the program's public counters;
 * ``close()``.
+
+Every time metric is reported at a fixed reference speed of the machine
+(see :class:`SpeedProbe`): the shared hosts this benchmark runs on
+change speed by up to 2x in spells of a second or two, which no
+amount of repetition averages out of a run of seconds.
 """
 
 from __future__ import annotations
@@ -28,11 +35,13 @@ import hashlib
 import json
 import math
 import os
+import random
 import resource
+import statistics
 import sys
 import time
 from collections import Counter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: The service's default flush policy, which every workload runs with.
 FLUSH_POLICY = {"fsync": True, "sync_every": 32, "compact_every": 256}
@@ -43,9 +52,15 @@ REFUSED_ENV = ("REPRO_SANITIZE", "REPRO_BG_MAINT")
 #: Fewest samples one run needs before a percentile of a class is named.
 MIN_SAMPLES = {50: 50, 90: 100, 95: 200}
 
-#: Op classes left out of every percentile (they count only in
-#: ``ops_attempted``, ``ops_failed`` and ``ops_per_s``).
-UNTIMED_CLASSES = ("ledger",)
+#: Seconds the speed kernel takes at the reference speed (about its
+#: median on the 2-vCPU machine this benchmark was written on).
+REFERENCE_KERNEL_S = 0.004
+
+#: Rows the speed kernel groups and sorts.
+KERNEL_ROWS = 6_000
+
+#: Fewest wall seconds between two speed samples in the measured phase.
+SPEED_SAMPLE_EVERY_S = 0.25
 
 #: Half-period of the traced run's alternation between traced and
 #: untraced slices of the measured phase (seconds of measured time).
@@ -170,6 +185,88 @@ class GcClock:
         gc.callbacks.remove(self)
 
 
+class SpeedProbe:
+    """The machine's current speed, sampled with a fixed pure-Python
+    kernel: grouping and sorting tuples, the kind of work the program
+    does.  A span timed between two samples is scaled by
+    ``REFERENCE_KERNEL_S`` over the mean of the two, which reports it as
+    if the machine ran at the reference speed.  Interleaved this way the
+    kernel follows the host's slow and fast spells closely: over 90 s of
+    one GROUP BY query run back to back, the query's time moved by 45%
+    (interquartile range over median of 10-query medians) and its ratio
+    to the kernel by 4%.  The kernel is the benchmark's own code, so a
+    change to the program leaves it alone."""
+
+    def __init__(self) -> None:
+        rng = random.Random(0)
+        self._rows = [
+            (rng.random(), rng.randrange(64), f"k{rng.randrange(40)}") for _ in range(KERNEL_ROWS)
+        ]
+        self.samples: List[float] = []
+
+    def _kernel(self) -> int:
+        groups: Dict[str, float] = {}
+        for value, count, key in self._rows:
+            groups[key] = groups.get(key, 0.0) + value * count
+        return len(sorted(self._rows)) + len(groups)
+
+    def sample(self) -> float:
+        """Kernel seconds now: the median of three runs."""
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            self._kernel()
+            times.append(time.perf_counter() - started)
+        self.samples.append(statistics.median(times))
+        return self.samples[-1]
+
+    @staticmethod
+    def scale(before: float, after: float) -> float:
+        """The factor that brings a span timed between two samples to the
+        reference speed."""
+        return REFERENCE_KERNEL_S / ((before + after) / 2.0)
+
+    def timed(self, fn: Any) -> Tuple[Any, float, float]:
+        """``fn()`` between two samples: (result, raw seconds, scaled seconds)."""
+        before = self.sample()
+        started = time.perf_counter()
+        result = fn()
+        raw = time.perf_counter() - started
+        return result, raw, raw * self.scale(before, self.sample())
+
+
+class StageClock:
+    """Times a phase of several stages (the set-up) at the reference
+    speed: ``mark()`` between two stages takes a speed sample, which
+    scales the stage just ended; ``paused()`` leaves benchmark work
+    (oracle checks) out."""
+
+    def __init__(self, probe: SpeedProbe) -> None:
+        self.probe = probe
+        self.raw_s = 0.0
+        self.scaled_s = 0.0
+        self._before = probe.sample()
+        self._paused_s = 0.0
+        self._started = time.perf_counter()
+
+    def mark(self) -> None:
+        elapsed = time.perf_counter() - self._started - self._paused_s
+        after = self.probe.sample()
+        self.raw_s += elapsed
+        self.scaled_s += elapsed * self.probe.scale(self._before, after)
+        self._before = after
+        self._paused_s = 0.0
+        self._started = time.perf_counter()
+
+    @contextlib.contextmanager
+    def paused(self) -> Iterator[None]:
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._paused_s += time.perf_counter() - started
+
+
 class Outcome:
     """What the measured phase observed."""
 
@@ -179,11 +276,16 @@ class Outcome:
         self.failed = 0
         self.errors: Counter = Counter()
         self.mismatches: List[str] = []
-        self.latencies: List[float] = []  # every timed, successful op
+        #: every successful op, at the reference speed
+        self.latencies: List[float] = []
+        #: the same, as measured
+        self.raw_latencies: List[float] = []
         self.by_class: Dict[str, List[float]] = {}
         self.failed_by_class: Counter = Counter()
         self.attempted_by_class: Counter = Counter()
+        #: time inside ops, as measured and at the reference speed
         self.measured_s = 0.0
+        self.scaled_s = 0.0
 
     def mismatch(self, problems: List[str]) -> None:
         room = 20 - len(self.mismatches)
@@ -197,15 +299,48 @@ def run_phase(
     outcome: Outcome,
     gc_clock: GcClock,
     tracing: Optional[Any] = None,
+    probe: Optional[SpeedProbe] = None,
 ) -> None:
     """Drive ops from the workload's stream until ``seconds`` of op time
-    have been measured.
+    at the reference speed have been measured (so a run does about the
+    same ops whether the machine is in a fast or a slow spell).
 
     Only the time inside ``apply`` counts (a closed loop with no think
-    time); the oracle checks between ops are not timed.  With
-    ``tracing`` (a :class:`perfbench.layers.TracedRun`) the phase
-    alternates traced and untraced slices."""
-    while outcome.measured_s < seconds:
+    time); the oracle checks and the speed samples between ops are not
+    timed.  A speed sample is taken at least every
+    ``SPEED_SAMPLE_EVERY_S`` of wall time; the ops between two samples
+    are scaled to the reference speed with them (the ops since the last
+    sample count at its speed until the next one).  With ``tracing`` (a
+    :class:`perfbench.layers.TracedRun`) the phase alternates traced and
+    untraced slices."""
+    probe = probe or SpeedProbe()
+    quiet = tracing.paused if tracing is not None else contextlib.nullcontext
+    # (class, op seconds, class seconds or None), since the last sample
+    pending: List[Tuple[str, float, Optional[float]]] = []
+    unsettled_s = 0.0
+
+    def settle() -> None:
+        nonlocal unsettled_s
+        before = probe.samples[-1]
+        with quiet():
+            factor = probe.scale(before, probe.sample())
+        outcome.scaled_s += unsettled_s * factor
+        for cls, elapsed, class_seconds in pending:
+            outcome.latencies.append(elapsed * factor)
+            outcome.raw_latencies.append(elapsed)
+            outcome.by_class.setdefault(cls, []).append(
+                (elapsed if class_seconds is None else class_seconds) * factor
+            )
+        pending.clear()
+        unsettled_s = 0.0
+
+    with quiet():
+        probe.sample()
+    sampled_at = time.perf_counter()
+    while outcome.scaled_s + unsettled_s * probe.scale(probe.samples[-1], probe.samples[-1]) < seconds:
+        if time.perf_counter() - sampled_at >= SPEED_SAMPLE_EVERY_S:
+            settle()
+            sampled_at = time.perf_counter()
         op = workload.stream.next()
         cls = workload.op_class(op)
         if tracing is not None:
@@ -220,12 +355,13 @@ def run_phase(
         elapsed = time.perf_counter() - started
         gc_clock.armed = False
         outcome.measured_s += elapsed
+        unsettled_s += elapsed
         outcome.attempted += 1
         outcome.attempted_by_class[cls] += 1
         if tracing is not None:
             tracing.after_op(elapsed, ok=failure is None)
         if failure is None:
-            with tracing.paused() if tracing is not None else contextlib.nullcontext():
+            with quiet():
                 problems = workload.check(op, output)
             if problems:
                 failure = "WrongResult"
@@ -236,12 +372,8 @@ def run_phase(
             outcome.errors[failure] += 1
             continue
         outcome.succeeded += 1
-        if cls in UNTIMED_CLASSES:
-            continue
-        outcome.latencies.append(elapsed)
-        outcome.by_class.setdefault(cls, []).append(
-            elapsed if class_seconds is None else class_seconds
-        )
+        pending.append((cls, elapsed, class_seconds))
+    settle()
 
 
 def class_report(outcome: Outcome, class_metrics: Dict[str, List[int]]) -> List[str]:

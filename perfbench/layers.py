@@ -343,12 +343,12 @@ class TracedRun:
 
     # -- recovery -------------------------------------------------------------
 
-    def traced_recovery(self) -> Tuple[float, List[str], Dict[str, float]]:
+    def traced_recovery(self, probe: Any) -> Tuple[float, List[str], Dict[str, float]]:
         log = SpanLog()
         patches = Patches(log)
         patches.install(RECOVERY_SPANS)
         try:
-            seconds, problems = self.workload.crash_and_recover()
+            seconds, problems = self.workload.crash_and_recover(probe)
         finally:
             patches.uninstall()
         reopens = max(len(self.workload.reopen_s), 1)

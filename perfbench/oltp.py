@@ -135,10 +135,11 @@ class SqlOltp(ServiceWorkload):
         database = Database(buffer_frames=BUFFER_FRAMES)
         workbook = Workbook(database=database)
         database.execute(ORDERS_DDL)
-        database.table("orders").insert_many(self.data)
+        self.load(database, "orders", self.data)
         database.execute(ORDERS_INDEX)
         self._serve(workbook)
         self.session_id = self.service.connect("app").session_id
+        self.mark()
         problems = self.run_untimed(len(MIX))
         self.service.compact(force=True)
         return problems

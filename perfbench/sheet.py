@@ -4,22 +4,28 @@
   buffer pool).
 * ``Sheet1``: a 1,000-row input block (``A``, ``B``), a per-row formula
   ``C = A*2+B`` and the aggregates ``E1 = SUM(C)``, ``E2 = AVERAGE(A)``.
-* ``Ledger``: a 1,000-row running balance, ``B{r} = B{r-1} + A{r}``.  It
-  keeps its natural depth on purpose: an edit or row insert deeper than
-  about 400 cells raises ``RecursionError`` in the compute engine today
-  (see README.md, "Known defects this benchmark shows").
-* ``Data``: a 40-row ``DBTABLE`` window over ``orders`` and a ``DBSQL``
-  ``GROUP BY region`` over ``cust < 10``.
+* ``Ledger``: a 1,000-row running balance, ``B{r} = B{r-1} + A{r}``.  No
+  measured op touches it: an edit or row insert deeper than about 400
+  cells raises ``RecursionError`` in the compute engine today, and the
+  failed apply leaves the live workbook apart from its durable state.
+  ``perfbench/defects.py`` provokes that defect at this depth on a
+  service of its own after every run and reports it (see README.md,
+  "Known defects this benchmark shows").
+* ``Data``: a 40-row ``DBTABLE`` window over ``orders`` that the scrolls
+  move, a ``DBSQL`` ``GROUP BY region`` over ``cust < 10``, and a second
+  40-row ``DBTABLE`` window at ``M1`` (the edit pane) that never
+  scrolls: a cell edit after an unlogged scroll replays onto another
+  row today, another defect the probes report.
 * Two sessions: an editor on ``Sheet1`` and a watcher on ``Data``.
 
-Mix per op: 57% cell edits on ``Sheet1``; 25% scrolls (the editor's
-``Session.scroll_to`` plus the ``DBTABLE`` window moved to the next
-``mixed_scroll_trace`` position, then ``step()`` and a read of both
-visible grids); 10% linked writes (half ``DBTABLE`` cell edits, which
-become an UPDATE by key, from the watcher; half SQL INSERTs from the
-editor; both refresh the ``DBSQL`` region); 5% ``insert_rows``/``delete_rows`` on ``Sheet1``; 3% ledger
-edits and row inserts (these count only in the op totals).  After every
-op the client polls both sessions.
+Mix per op: 58.8% cell edits on ``Sheet1``; 25.8% scrolls (the editor's
+``Session.scroll_to`` plus the scrolled ``DBTABLE`` window moved to the
+next ``mixed_scroll_trace`` position, then ``step()`` and a read of both
+visible grids); 10.3% linked writes (half cell edits in the edit pane
+from the watcher, which become an UPDATE by key; half SQL INSERTs from
+the editor; both refresh the ``DBSQL`` region); 5.2%
+``insert_rows``/``delete_rows`` on ``Sheet1``.  After every op the
+client polls both sessions.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from perfbench.base import ORDERS_DDL, ORDERS_INDEX, ServiceWorkload, order_row, table_rows
 from perfbench.common import OpStream, warm_then_mix
+from perfbench.defects import probe_known_defects
 from repro import Database, Workbook
 from repro.baselines.naive_spreadsheet import NaiveSpreadsheet
 from repro.formula.parser import parse_formula
@@ -39,13 +46,15 @@ ROWS = 20_000
 BLOCK = 1_000
 LEDGER = 1_000
 WINDOW = 40
+SETUP_MARK_ROWS = 250  # formula rows set up between two set-up stage marks
 FIRST = 2  # 0-based sheet row of the first Sheet1 block row (A3)
 DBSQL = ("SELECT region, COUNT(*), SUM(amt) FROM orders WHERE cust < 10 "
          "GROUP BY region ORDER BY region")
 INSERT = "INSERT INTO orders VALUES (?, ?, ?, ?)"
-AMT_COL = "C"  # orders.amt inside the DBTABLE rendered at Data!A1
+EDIT_PANE = "M1"  # anchor of the DBTABLE window that the linked edits go to
+AMT_COL = "O"  # orders.amt inside the edit pane
 
-#: (op kind, ops of that kind in every shuffled block of 200)
+#: (op kind, ops of that kind in every shuffled block of 194)
 MIX = (
     ("edit", 114),
     ("scroll", 50),
@@ -53,12 +62,9 @@ MIX = (
     ("sqlins", 10),
     ("ins_row", 5),
     ("del_row", 5),
-    ("ledger_edit", 3),
-    ("ledger_ins", 3),
 )
 CLASS = {"edit": "edit", "scroll": "scroll", "dbedit": "sync", "sqlins": "sync",
-         "ins_row": "struct", "del_row": "struct",
-         "ledger_edit": "ledger", "ledger_ins": "ledger"}
+         "ins_row": "struct", "del_row": "struct"}
 CLASS_METRICS = {"edit": [50, 95], "struct": [50], "scroll": [50, 95], "sync": [50]}
 
 
@@ -67,12 +73,11 @@ def initial_rows(seed: int, rows: int) -> List[Tuple[int, int, float, str]]:
     return [order_row(rng, i, max(rows // 10, 1)) for i in range(rows)]
 
 
-def generate_ops(seed: int, rows: int, block: int, ledger: int) -> Iterator[List[Any]]:
+def generate_ops(seed: int, rows: int, block: int) -> Iterator[List[Any]]:
     rng = random.Random(f"sheet-ops-{seed}")
-    block_rows, ledger_rows, next_id = block, ledger, rows
+    block_rows, next_id = block, rows
     customers = max(rows // 10, 1)
     scrolls: List[Tuple[int, int]] = []
-    depths = _spread_out(rng.random())
     for kind in warm_then_mix(rng, MIX):
         if kind == "edit":
             row = FIRST + rng.randrange(block_rows) + 1
@@ -98,22 +103,6 @@ def generate_ops(seed: int, rows: int, block: int, ledger: int) -> Iterator[List
         elif kind == "del_row" and block_rows > 1:
             block_rows -= 1
             yield ["del_row", FIRST + rng.randrange(block_rows)]
-        elif kind == "ledger_edit":
-            depth = next(depths)
-            yield ["ledger_edit", f"A{1 + int(depth * ledger_rows)}", rng.randrange(-50, 50)]
-        else:
-            depth = next(depths)
-            ledger_rows += 1
-            yield ["ledger_ins", int(depth * (ledger_rows - 1))]
-
-
-def _spread_out(start: float) -> Iterator[float]:
-    """Ledger positions as fractions of its depth, spread evenly (golden
-    ratio steps) so every run hits shallow and deep rows alike."""
-    value = start
-    while True:
-        yield value
-        value = (value + 0.6180339887498949) % 1.0
 
 
 def sheet_grid(workbook: Workbook, name: str) -> Dict[Tuple[int, int], Any]:
@@ -140,7 +129,7 @@ class SheetInteractive(ServiceWorkload):
                  ledger: int = LEDGER) -> None:
         super().__init__(seed, workdir)
         self.rows, self.block, self.ledger = rows, block, ledger
-        self.stream = OpStream(generate_ops(seed, rows, block, ledger))
+        self.stream = OpStream(generate_ops(seed, rows, block))
         self.editor: Any = None
         self.watcher: Any = None
 
@@ -153,34 +142,45 @@ class SheetInteractive(ServiceWorkload):
         database = Database()
         workbook = Workbook(database=database)
         database.execute(ORDERS_DDL)
-        database.table("orders").insert_many(self.data)
+        self.load(database, "orders", self.data)
         database.execute(ORDERS_INDEX)
         last = FIRST + self.block
         for row in range(FIRST + 1, last + 1):
             workbook.set("Sheet1", f"A{row}", row % 97)
             workbook.set("Sheet1", f"B{row}", row % 13)
             workbook.set("Sheet1", f"C{row}", f"=A{row}*2+B{row}")
+            if row % SETUP_MARK_ROWS == 0:
+                self.mark()
         workbook.set("Sheet1", "E1", f"=SUM(C{FIRST + 1}:C{last})")
         workbook.set("Sheet1", "E2", f"=AVERAGE(A{FIRST + 1}:A{last})")
         workbook.add_sheet("Ledger")
         for row in range(1, self.ledger + 1):
             workbook.set("Ledger", f"A{row}", (row * 7) % 50 - 20)
             workbook.set("Ledger", f"B{row}", f"=B{row - 1}+A{row}" if row > 1 else "=A1")
+            if row % SETUP_MARK_ROWS == 0:
+                self.mark()
         workbook.add_sheet("Data")
         workbook.dbtable("Data", "A1", "orders", window_rows=WINDOW)
         workbook.dbsql("Data", "G1", DBSQL)
+        workbook.dbtable("Data", EDIT_PANE, "orders", window_rows=WINDOW)
         self._serve(workbook)
         self.editor = self.service.connect("editor", sheet="Sheet1", n_rows=WINDOW, n_cols=8)
-        self.watcher = self.service.connect("watcher", sheet="Data", n_rows=WINDOW + 5, n_cols=12)
+        self.watcher = self.service.connect("watcher", sheet="Data", n_rows=WINDOW + 5, n_cols=16)
+        self.mark()
         problems = self.run_untimed(len(MIX))
         self.service.compact(force=True)
         return problems
 
     # -- ops -------------------------------------------------------------------------
 
-    def _dbtable(self, workbook: Optional[Workbook] = None) -> Any:
+    def _dbtables(self, workbook: Optional[Workbook] = None) -> List[Any]:
+        """The DBTABLE windows: the scrolled one at ``A1``, then the edit pane."""
         workbook = workbook or self.service.workbook
-        return next(r for r in workbook.regions.all() if r.context.kind == "dbtable")
+        return sorted((r for r in workbook.regions.all() if r.context.kind == "dbtable"),
+                      key=lambda r: r.context.anchor.col)
+
+    def _dbtable(self, workbook: Optional[Workbook] = None) -> Any:
+        return self._dbtables(workbook)[0]
 
     def _dbsql(self) -> Any:
         return next(r for r in self.service.workbook.regions.all() if r.context.kind == "dbsql")
@@ -209,13 +209,9 @@ class SheetInteractive(ServiceWorkload):
             service.set_cell(watcher, "Data", op[1], op[2])
         elif kind == "sqlins":
             service.execute(editor, INSERT, tuple(op[1:]))
-        elif kind in ("ins_row", "del_row"):
+        else:
             op_type = "insert_rows" if kind == "ins_row" else "delete_rows"
             service.apply(editor, {"type": op_type, "sheet": "Sheet1", "at": op[1], "count": 1})
-        elif kind == "ledger_edit":
-            service.set_cell(editor, "Ledger", op[1], op[2])
-        else:
-            service.apply(editor, {"type": "insert_rows", "sheet": "Ledger", "at": op[1], "count": 1})
         service.poll(editor)
         service.poll(watcher)
         return output, None
@@ -228,8 +224,8 @@ class SheetInteractive(ServiceWorkload):
         return []
 
     def _region_problems(self) -> List[str]:
-        """DBSQL grid equal to ``Database.execute``; DBTABLE grid equal to
-        ``Table.window`` at the region's offset."""
+        """DBSQL grid equal to ``Database.execute``; each DBTABLE grid equal
+        to ``Table.window`` at the region's offset."""
         workbook = self.service.workbook
         problems = []
         dbsql = self._dbsql()
@@ -238,12 +234,13 @@ class SheetInteractive(ServiceWorkload):
         expected = workbook.database.execute(DBSQL).rows
         if shown != [tuple(row) for row in expected]:
             problems.append(f"DBSQL grid {shown[:2]} != execute {expected[:2]}")
-        dbtable = self._dbtable()
-        extent = dbtable.context.extent
-        shown = [tuple(row) for row in workbook.sheet("Data").grid(extent)][1:]
-        expected = workbook.database.table("orders").window(dbtable.offset, WINDOW)
-        if shown != [tuple(row) for row in expected]:
-            problems.append(f"DBTABLE grid at offset {dbtable.offset} != Table.window")
+        for dbtable in self._dbtables():
+            extent = dbtable.context.extent
+            shown = [tuple(row) for row in workbook.sheet("Data").grid(extent)][1:]
+            expected = workbook.database.table("orders").window(dbtable.offset, WINDOW)
+            if shown != [tuple(row) for row in expected]:
+                problems.append(f"DBTABLE grid at {dbtable.context.anchor} offset "
+                                f"{dbtable.offset} != Table.window")
         return problems
 
     def final_checks(self) -> List[str]:
@@ -277,6 +274,9 @@ class SheetInteractive(ServiceWorkload):
             1 for key, _ in formulas if sheet.value_at(*key) != naive.values.get(key)
         )
         return (differ, len(formulas)) if differ else None
+
+    def known_defects(self) -> List[str]:
+        return probe_known_defects(self.seed, f"{self.workdir}-defects", self.ledger)
 
     def capture(self) -> Any:
         workbook = self.service.workbook

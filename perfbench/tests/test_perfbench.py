@@ -1,7 +1,7 @@
 """Tiny-scale checks of the benchmark itself: every named metric is
 emitted, the oracles catch an injected wrong result, one seed gives one
-op stream, and a run refuses the environment switches that change the
-program."""
+op stream, the known-defect probes report each defect, and a run
+refuses the environment switches that change the program."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import pytest
 from perfbench import run
 from perfbench.analytics import SqlAnalytics
 from perfbench.common import GcClock, Outcome, run_phase
+from perfbench.defects import probe_known_defects
 from perfbench.layers import TracedRun
 from perfbench.oltp import SqlOltp
 from perfbench.report import WORKLOADS, run_workload
@@ -44,12 +45,16 @@ def test_every_named_metric_is_emitted(workload, trace, tmp_path):
     lines, result = run_workload(workload, 5, 0.3, trace, str(tmp_path / "w"), **TINY[workload])
     expected = declared("per_layer" if trace else "end_to_end")
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] and result["failed"] == 0, lines
     assert {name: m["unit"] for name, m in result["metrics"].items()} == expected
     assert all(isinstance(m["value"], float) or isinstance(m["value"], int)
                for m in result["metrics"].values())
     assert result["attempted"] >= 1
     assert any(line.startswith("ops_attempted=") for line in lines)
+    probes = sum(line.startswith("known defect ") for line in lines)
+    assert probes == (3 if workload == "sheet_interactive" else 0)
     assert not os.path.exists(tmp_path / "w")
+    assert not os.path.exists(tmp_path / "w-defects")
 
 
 def _tampered(workload, corrupt):
@@ -162,6 +167,15 @@ def test_spans_nest_within_one_op_and_wrappers_come_off(tmp_path):
     roots = [span for span in spans if span[3] < 0]
     assert {span[0] for span in roots} == {"server.apply"}
     assert sum(end - start for _, start, end, _, _ in roots) <= tracing.traced_s
+
+
+def test_known_defect_probes_report_each_defect(tmp_path):
+    lines = probe_known_defects(3, str(tmp_path / "d"), ledger_rows=40)
+    assert [line.split(" (")[0] for line in lines] == [
+        "known defect 1", "known defect 2", "known defect 3"
+    ]
+    assert all(") reproduced: " in line or ") not reproduced: " in line for line in lines)
+    assert not os.path.exists(tmp_path / "d")
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

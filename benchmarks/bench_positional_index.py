@@ -1,8 +1,9 @@
 """E5 — §3 positional index: O(log n) positional access vs the rownum
 emulation a vanilla RDBMS needs.
 
-Three operations per table size n, DataSpread (order-statistic tree) vs the
-naive baseline (explicit rownum column, OFFSET-style scans, renumbering):
+Three operations per table size n, DataSpread (the table's positional
+mapper, O(log s) in the number of spliced spans) vs the naive baseline
+(explicit rownum column, OFFSET-style scans, renumbering):
 
 * ``window(pos, 40)`` — the viewport fetch,
 * ``row_at(pos)`` — a point positional lookup,

@@ -217,10 +217,12 @@ class Sanitizer(NullSanitizer):
                 f"table {table.name!r} grouping {table.schema.groups} does "
                 f"not partition its columns {table.schema.column_names}"
             )
-        if len(table.positions) != table.store.n_rows:
+        live = set(table.store.rids())
+        mapped = set(table.rids())
+        if mapped != live:
             self._fail(
-                f"table {table.name!r} positional index holds "
-                f"{len(table.positions)} entries for {table.store.n_rows} "
+                f"table {table.name!r} maps positions [0, {table.n_rows}) to "
+                f"{len(mapped)} rids that are not its {len(live)} live "
                 "stored rows after migration"
             )
         try:

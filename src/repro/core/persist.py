@@ -131,7 +131,7 @@ def workbook_to_dict(workbook: Workbook) -> Dict[str, Any]:
                 # serialized access_stats above must match the live window.
                 "rows": [
                     [_encode_value(value) for value in table.store.read_row(rid)]
-                    for rid in table.positions
+                    for rid in table.rids()
                 ],
             }
         )

@@ -43,7 +43,6 @@ from repro.engine.table import ChangeEvent, Table
 from repro.engine.transaction import TransactionManager
 from repro.engine.types import DBType, infer_type, unify_types
 from repro.errors import ExecutionError, PlanError, SqlError
-from repro.index.positional import PositionalIndex
 from repro.obs import EventLog, MetricsRegistry, Span, Tracer
 
 __all__ = ["Database", "ResultSet", "is_explain_trace"]
@@ -741,22 +740,14 @@ class Database:
         table.index_lookups += 1
         targets: List[Tuple[int, int, Tuple[Any, ...]]] = []
         with table.store.mutation_lock:
-            position_of = {
-                rid: position for position, rid in enumerate(table.positions)
-            }
-            rids: List[int] = []
             for key in points:
                 hit = index.tree.get(key)
                 if hit is None:
                     continue
-                rids.extend(hit if isinstance(hit, list) else [hit])
-            for rid in rids:
-                position = position_of.get(rid)
-                if position is None:
-                    continue
-                row = table.store.read_row(rid)
-                if predicate(row, params) is True:
-                    targets.append((position, rid, row))
+                for rid in hit if isinstance(hit, list) else [hit]:
+                    row = table.store.read_row(rid)
+                    if predicate(row, params) is True:
+                        targets.append((table.position_of(rid), rid, row))
         targets.sort()
         if self.tracer.active:
             self.tracer.current.annotate_child(
@@ -794,7 +785,10 @@ class Database:
         table = self.catalog.get(statement.table)
         doomed = self._dml_targets(table, statement.where, params, planner)
         table.delete_rids([rid for _, rid, _ in doomed])
-        for position, rid, row in doomed:
+        # The undo log runs last-in first-out: record from the highest
+        # position down so rollback re-inserts from the lowest up, each row
+        # landing at its old position with its old rid.
+        for position, rid, row in reversed(doomed):
             self.transactions.record_undo(
                 (
                     lambda t, p, r, old_rid: (

@@ -377,7 +377,7 @@ class IndexScan(PlanNode):
             # Unconstrained at run time (or the predicate admits NULLs,
             # which the index does not hold): every live row is a
             # candidate; the residual predicates do the filtering.
-            return list(self.table.positions)
+            return self.table.store.rids()
         rids: List[int] = []
 
         def collect(value: Any) -> None:
@@ -419,9 +419,7 @@ class IndexScan(PlanNode):
         self.table.index_lookups += 1
         fetched: List[Tuple[int, Tuple[Any, ...]]] = []
         with store.mutation_lock:
-            position_of = {
-                rid: position for position, rid in enumerate(self.table.positions)
-            }
+            position_of = self.table.position_of
             column_indexes = [
                 self.table.schema.column_index(name) for name in self.column_names
             ]
@@ -430,12 +428,9 @@ class IndexScan(PlanNode):
                 if rid in seen:
                     continue
                 seen.add(rid)
-                position = position_of.get(rid)
-                if position is None:
-                    continue  # entry for a row deleted mid-probe
                 row = store.get(rid)
                 fetched.append(
-                    (position, tuple(row[i] for i in column_indexes))
+                    (position_of(rid), tuple(row[i] for i in column_indexes))
                 )
         fetched.sort()
         params = ctx.params

@@ -18,9 +18,9 @@ grouping policies:
 * ``HYBRID`` — the paper's design: arbitrary groups; new columns go into a
   new group by default (zero rewrites) and can later be co-located.
 
-Records are addressed by a store-assigned **rid** that never changes; the
-positional order of a table lives in the positional index
-(:mod:`repro.index.positional`), not in the store.
+Records are addressed by a **rid** that never changes; a table assigns
+them from its positional mapper (:mod:`repro.index.posmap`), which also
+holds the table's presentation order — the store keeps none.
 
 **Concurrency model** (HTAP isolation): one writer at a time mutates the
 store under ``_mutation_lock``; readers never take it for iteration.

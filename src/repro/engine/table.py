@@ -1,14 +1,16 @@
-"""Tables: schema + physical store + positional index + key index.
+"""Tables: schema + physical store + positional mapper + key indexes.
 
 A table row has three identities:
 
-* its **rid** — immutable storage handle assigned by the store,
-* its **position** — 0-based presentation order, maintained by the
-  positional index (paper §3) so the interface can show rows in a stable,
-  user-visible order and fetch any window in O(log n + window),
+* its **rid** — immutable storage handle; rids are the physical keys of
+  the table's :class:`~repro.index.posmap.PositionalMapper`,
+* its **position** — 0-based presentation order, maintained by that
+  mapper (paper §3's positional index) so the interface can show rows in
+  a stable, user-visible order and fetch any window in
+  O(log s + window), with the reverse ``position_of(rid)`` in O(log s),
 * its **primary key** (optional) — the database identity the interface
   manager uses to translate sheet edits into updates (paper §3, Interface
-  Manager).
+  Manager), indexed by an implicit unique :class:`TableIndex`.
 
 All mutations funnel through this class so that constraint checking, index
 maintenance and change events stay consistent.  Change events drive the
@@ -18,6 +20,7 @@ after the fact.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -30,18 +33,19 @@ from repro.engine.store import DEFAULT_BATCH_SIZE, GroupedTupleStore, LayoutPoli
 from repro.engine.types import coerce_value
 from repro.errors import ConstraintError, ExecutionError, SchemaError, StorageError
 from repro.index.btree import BPlusTree
-from repro.index.positional import PositionalIndex
+from repro.index.posmap import PositionalMapper
 
 __all__ = ["Table", "ChangeEvent", "TableIndex"]
 
 
 @dataclass
 class TableIndex:
-    """One secondary index: ``column`` value → rid (unique) or rid bucket.
+    """One key index: ``column`` value → rid (unique) or rid bucket.
 
-    NULL keys are not indexed (SQL: NULL never equals anything, and an
-    ``IS NULL`` probe is served by zone maps instead), so ``len(tree)``
-    counts the *non-null* rows only."""
+    Secondary indexes and the primary key share this type and every
+    maintenance path.  NULL keys are not indexed (SQL: NULL never equals
+    anything, and an ``IS NULL`` probe is served by zone maps instead), so
+    ``len(tree)`` counts the *non-null* rows only."""
 
     name: str
     column: str
@@ -67,6 +71,52 @@ class ChangeEvent:
     extra: Optional[str] = None
 
 
+class _FrozenOrder:
+    """Presentation order of rows ``[0, n)`` captured when a scan opens:
+    the mapper's spans as ``(first_rid, last_rid, first_position)``
+    triples in position order.  Capturing it costs O(spans), not a copy
+    of every rid, and later splices of the live mapper do not reach it."""
+
+    def __init__(self, spans: List[Tuple[int, int, int]]):
+        self.spans = spans
+        self._starts = [first for _, _, first in spans]
+        self._by_rid = sorted(spans)
+        self._rid_starts = [lo for lo, _, _ in self._by_rid]
+
+    def __iter__(self) -> Iterator[int]:
+        for lo, hi, _ in self.spans:
+            yield from range(lo, hi + 1)
+
+    def rids(self, start: int, count: int) -> List[int]:
+        """rids at positions ``[start, start+count)``, clamped to the order."""
+        out: List[int] = []
+        index = max(0, bisect.bisect_right(self._starts, start) - 1)
+        while index < len(self.spans) and len(out) < count:
+            lo, hi, first = self.spans[index]
+            lo += max(0, start - first)
+            out.extend(range(lo, min(hi, lo + count - len(out) - 1) + 1))
+            index += 1
+        return out
+
+    def positions_of(self, rids: List[int]) -> List[Optional[int]]:
+        """Position of each rid (None when absent) — one bisect per rid, or
+        none at all when the batch lies inside a single span."""
+        index = bisect.bisect_right(self._rid_starts, rids[0]) - 1
+        if index >= 0:
+            lo, hi, first = self._by_rid[index]
+            if rids[-1] <= hi and all(a < b for a, b in zip(rids, rids[1:])):
+                return [first + rid - lo for rid in rids]
+        out: List[Optional[int]] = []
+        for rid in rids:
+            index = bisect.bisect_right(self._rid_starts, rid) - 1
+            if index < 0 or rid > self._by_rid[index][1]:
+                out.append(None)
+            else:
+                lo, _, first = self._by_rid[index]
+                out.append(first + rid - lo)
+        return out
+
+
 class Table:
     """One relation with positional presentation order."""
 
@@ -81,7 +131,7 @@ class Table:
         self.name = name
         self.schema = schema
         self.store = GroupedTupleStore(schema, pool, layout, page_capacity, owner=name)
-        self.positions = PositionalIndex()
+        self.positions = PositionalMapper()
         # Adaptive layout: off by default; ALTER TABLE ... SET LAYOUT AUTO
         # (or set_auto_layout) turns the advisor loop on.
         self.auto_layout = False
@@ -92,9 +142,12 @@ class Table:
         self.layout_advisor = LayoutAdvisor()
         self.layout_stats_horizon = 2048
         self._layout_migration: Optional[LayoutMigration] = None
-        self._pk_index: Optional[BPlusTree] = None
+        # The primary key is an implicit unique index: maintained and
+        # probed like any other, but neither persisted as a definition nor
+        # droppable, so it lives beside the user's ``indexes``.
+        self.primary_index: Optional[TableIndex] = None
         if schema.primary_key is not None:
-            self._pk_index = BPlusTree(unique=True)
+            self.primary_index = TableIndex(f"{name}_pkey", schema.primary_key, True)
         # Secondary indexes by lowered index name; every DML path below
         # funnels through the _index_* helpers so the trees never drift
         # from the store (checker RC008 enforces this statically).
@@ -148,27 +201,50 @@ class Table:
             prepared.append(coerced)
         return tuple(prepared)
 
-    def _pk_value(self, row: Sequence[Any]) -> Any:
-        pk = self.schema.primary_key
-        if pk is None:
-            return None
-        return row[self.schema.column_index(pk)]
-
     # -- reads ---------------------------------------------------------------
 
     def rid_at(self, position: int) -> int:
-        return self.positions.rid_at(position)
+        if not 0 <= position < self.store.n_rows:
+            raise IndexError(
+                f"position {position} outside table {self.name!r} of "
+                f"{self.store.n_rows} rows"
+            )
+        return self.positions.physical_of(position)
+
+    def position_of(self, rid: int) -> Optional[int]:
+        """Presentation position of a live rid, or None — O(log s)."""
+        position = self.positions.position_of(rid)
+        if position is None or position >= self.store.n_rows:
+            return None
+        return position
 
     def row_at(self, position: int) -> Tuple[Any, ...]:
-        return self.store.get(self.positions.rid_at(position))
+        return self.store.get(self.rid_at(position))
 
     def get(self, rid: int) -> Tuple[Any, ...]:
         return self.store.get(rid)
 
+    def rids(self, position: int = 0, count: Optional[int] = None) -> List[int]:
+        """rids of rows ``[position, position+count)`` in presentation
+        order (clamped; all remaining rows when ``count`` is None) —
+        O(log s + spans + count) from the mapper's spans."""
+        position = max(position, 0)
+        n_rows = self.store.n_rows
+        end = n_rows if count is None else min(n_rows, position + count)
+        out: List[int] = []
+        for lo, hi, _ in self.positions.intervals(position, end - 1):
+            out.extend(range(lo, hi + 1))
+        return out
+
     def window(self, position: int, count: int) -> List[Tuple[Any, ...]]:
         """The viewport fetch: rows ``[position, position+count)`` in
-        presentation order — O(log n + count)."""
-        return [self.store.get(rid) for rid in self.positions.window(position, count)]
+        presentation order — O(log s + count)."""
+        return [self.store.get(rid) for rid in self.rids(position, count)]
+
+    def _freeze_order(self) -> _FrozenOrder:
+        """The presentation order at this instant; caller holds the store
+        mutation lock so it matches the store snapshot taken beside it."""
+        return _FrozenOrder(self.positions.intervals(0, self.store.n_rows - 1))
 
     def scan(self) -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
         """Yield ``(position, rid, row)`` in presentation order.
@@ -186,35 +262,28 @@ class Table:
 
         The narrow scan the query pipeline rides: the store walks each
         covering chain sequentially (charging per-column and co-access
-        statistics), and the positional index restores presentation
-        order on top of the rid-aligned fragments.  The snapshot is
-        acquired *at operator open* — the positional order and the store
-        chains are captured atomically under the store's mutation lock,
-        so the iterator is isolated from concurrent DML and background
+        statistics) and rows are matched against the presentation order
+        frozen at operator open.  The order and the store chains are
+        captured atomically under the store's mutation lock, so the
+        iterator is isolated from concurrent DML and background
         restructure swaps.  The store stream is consumed *on demand*:
-        while presentation order tracks heap order (no positional
-        inserts or moves — the common case) each row is handed through
-        as it is read, so an early-exiting consumer (LIMIT) touches only
-        a page prefix; rows surfaced out of order are buffered until
-        their position comes up.  An empty ``names`` yields empty tuples
-        without touching any page — what a bare ``COUNT(*)`` costs."""
-        if not names:
-            with self.store.mutation_lock:
-                order = list(self.positions)
-
-            def empties() -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
-                for position, rid in enumerate(order):
-                    yield position, rid, ()
-
-            return empties()
+        while its rids come out in presentation order (ascending rids when
+        no row was inserted mid-table — the common case) each row is
+        handed through as it is read, so an early-exiting consumer (LIMIT)
+        touches only a page prefix; rows surfaced out of order are
+        buffered until their position comes up.  An empty ``names``
+        yields empty tuples without touching any page — what a bare
+        ``COUNT(*)`` costs."""
         with self.store.mutation_lock:
+            order = self._freeze_order()
+            if not names:
+                return ((position, rid, ()) for position, rid in enumerate(order))
             # One critical section pins both identities of the table: the
             # presentation order and the physical chains must describe the
             # same set of rows or the merge below would report a missing
             # rid on a perfectly healthy table.
             snap = self.store.snapshot()
             try:
-                order = list(self.positions)
                 source = self.store.scan_groups(names, snapshot=snap)
             except BaseException:
                 snap.release()
@@ -249,9 +318,9 @@ class Table:
         ``(start_position, rids, columns)`` in presentation order, with
         ``columns`` holding one rid-aligned value list per name.
 
-        While presentation order tracks heap order (no positional inserts
-        or moves — the common case) the store's batches are passed through
-        untouched; once they diverge, rows are buffered per rid and
+        While the store's batches come out in presentation order (the
+        common case) they are passed through untouched with a running
+        position; once they diverge, rows are buffered per rid and
         re-emitted in presentation order.  The snapshot is acquired at
         operator open, exactly like :meth:`scan_columns`, and charges the
         same workload statistics.
@@ -268,9 +337,9 @@ class Table:
         if not names:
             return iter(())
         with self.store.mutation_lock:
+            order = self._freeze_order()
             snap = self.store.snapshot()
             try:
-                expected = list(self.positions)
                 source = self.store.scan_group_batches(
                     names,
                     batch_size,
@@ -282,7 +351,7 @@ class Table:
                 raise
         width = len(names)
         if predicate_ranges:
-            return self._skipping_batches(snap, expected, source, width, batch_size)
+            return self._skipping_batches(snap, order, source, width, batch_size)
 
         def batches() -> Iterator[Tuple[int, List[int], List[List[Any]]]]:
             start = 0
@@ -292,11 +361,11 @@ class Table:
                 nonlocal start
                 batch_rids: List[int] = []
                 batch_rows: List[Tuple[Any, ...]] = []
-                while start + len(batch_rids) < len(expected):
-                    row = pending.pop(expected[start + len(batch_rids)], None)
+                for rid in order.rids(start, len(pending)):
+                    row = pending.pop(rid, None)
                     if row is None:
                         break
-                    batch_rids.append(expected[start + len(batch_rids)])
+                    batch_rids.append(rid)
                     batch_rows.append(row)
                 if batch_rids:
                     columns = [[row[j] for row in batch_rows] for j in range(width)]
@@ -305,20 +374,18 @@ class Table:
 
             try:
                 for rids, cols in source:
-                    if not pending and rids == expected[start : start + len(rids)]:
+                    if not pending and rids == order.rids(start, len(rids)):
                         yield start, rids, cols
                         start += len(rids)
                         continue
                     for i, rid in enumerate(rids):
                         pending[rid] = tuple(column[i] for column in cols)
                     yield from drain()
-                while start < len(expected):
-                    if expected[start] not in pending:
-                        raise StorageError(
-                            f"rid {expected[start]} missing from column scan "
-                            f"of {self.name!r}"
-                        )
-                    yield from drain()
+                missing = order.rids(start, 1)
+                if missing:
+                    raise StorageError(
+                        f"rid {missing[0]} missing from column scan of {self.name!r}"
+                    )
             finally:
                 snap.release()
 
@@ -327,7 +394,7 @@ class Table:
     def _skipping_batches(
         self,
         snap: Any,
-        expected: List[int],
+        order: _FrozenOrder,
         source: Iterator[Tuple[List[int], List[List[Any]]]],
         width: int,
         batch_size: int,
@@ -335,26 +402,25 @@ class Table:
         """Merge loop of a zone-map-skipping scan: yields ``(positions,
         rids, columns)`` with an explicit presentation-position list per
         batch (skipped pages leave holes, so a scalar start offset cannot
-        describe a batch).  While heap order tracks presentation order
-        (the common case) surviving batches stream straight through; after
-        a positional insert/move breaks monotonicity the remainder is
-        buffered and re-emitted sorted by position."""
+        describe a batch).  While the store's rids come out in
+        presentation order (the common case) surviving batches stream
+        straight through; once they do not, the remainder is buffered and
+        re-emitted sorted by position."""
 
         def batches() -> Iterator[Tuple[List[int], List[int], List[List[Any]]]]:
-            pos_of = {rid: i for i, rid in enumerate(expected)}
             emitted_through = -1
             held: List[Tuple[int, int, Tuple[Any, ...]]] = []
             try:
                 for rids, cols in source:
-                    positions: List[int] = []
-                    for rid in rids:
-                        position = pos_of.get(rid)
+                    if not rids:
+                        continue
+                    positions = order.positions_of(rids)
+                    for rid, position in zip(rids, positions):
                         if position is None:
                             raise StorageError(
                                 f"rid {rid} missing from positional index "
                                 f"of {self.name!r}"
                             )
-                        positions.append(position)
                     if (
                         not held
                         and positions[0] > emitted_through
@@ -386,17 +452,25 @@ class Table:
 
     def find_by_key(self, key: Any) -> Optional[int]:
         """rid for a primary-key value, or None."""
-        if self._pk_index is None:
+        if self.primary_index is None:
             raise ExecutionError(f"table {self.name!r} has no primary key")
-        return self._pk_index.get(key)
+        return self.primary_index.tree.get(key)
 
-    # -- secondary indexes ----------------------------------------------------
+    # -- key indexes ------------------------------------------------------------
+
+    def _all_indexes(self) -> List[TableIndex]:
+        """The primary-key index (if any) and every secondary index — the
+        one list every maintenance path and the planner walk."""
+        indexes = list(self.indexes.values())
+        if self.primary_index is not None:
+            indexes.insert(0, self.primary_index)
+        return indexes
 
     def index_for(self, column: str) -> Optional[TableIndex]:
         """Any index over ``column`` (unique preferred), or None."""
         column_l = column.lower()
         best: Optional[TableIndex] = None
-        for index in self.indexes.values():
+        for index in self._all_indexes():
             if index.column.lower() == column_l:
                 if index.unique:
                     return index
@@ -443,27 +517,48 @@ class Table:
     def _index_key(self, index: TableIndex, row: Sequence[Any]) -> Any:
         return row[self.schema.column_index(index.column)]
 
-    def _index_check_insert(self, row: Sequence[Any]) -> None:
-        """Unique-violation check, run *before* the store mutation so a
-        rejected insert leaves no partial state."""
-        for index in self.indexes.values():
+    def _index_check(
+        self,
+        new_row: Sequence[Any],
+        rid: Optional[int] = None,
+        old_row: Optional[Sequence[Any]] = None,
+    ) -> None:
+        """Unique and primary-key checks for inserting ``new_row`` (or
+        updating row ``rid`` from ``old_row``), run *before* any tree or
+        the store is touched so a rejected statement leaves no partial
+        state."""
+        for index in self._all_indexes():
             if not index.unique:
                 continue
-            key = self._index_key(index, row)
-            if key is not None and key in index.tree:
+            key = self._index_key(index, new_row)
+            if old_row is not None and key == self._index_key(index, old_row):
+                continue
+            primary = index is self.primary_index
+            if key is None:
+                if primary:
+                    raise ConstraintError(
+                        f"primary key of {self.name!r} may not be NULL"
+                    )
+                continue
+            holder = index.tree.get(key)
+            if holder is not None and holder != rid:
+                if primary:
+                    raise ConstraintError(
+                        f"duplicate primary key {key!r} in table {self.name!r}"
+                    )
                 raise ConstraintError(
                     f"duplicate key {key!r} violates unique index "
                     f"{index.name!r} of table {self.name!r}"
                 )
 
     def _index_insert(self, rid: int, row: Sequence[Any]) -> None:
-        for index in self.indexes.values():
+        for index in self._all_indexes():
             key = self._index_key(index, row)
             if key is not None:
                 index.tree.insert(key, rid)
 
     def _index_delete(self, rid: int, row: Sequence[Any]) -> None:
-        for index in self.indexes.values():
+        for index in self._all_indexes():
             key = self._index_key(index, row)
             if key is not None:
                 index.tree.delete(key, None if index.unique else rid)
@@ -472,8 +567,8 @@ class Table:
         self, rid: int, old_row: Sequence[Any], new_row: Sequence[Any]
     ) -> None:
         """Re-key every index whose column changed; uniqueness was already
-        vetted by :meth:`_index_check_update`."""
-        for index in self.indexes.values():
+        vetted by :meth:`_index_check`."""
+        for index in self._all_indexes():
             old_key = self._index_key(index, old_row)
             new_key = self._index_key(index, new_row)
             if old_key is new_key or old_key == new_key:
@@ -482,23 +577,6 @@ class Table:
                 index.tree.delete(old_key, None if index.unique else rid)
             if new_key is not None:
                 index.tree.insert(new_key, rid)
-
-    def _index_check_update(
-        self, rid: int, old_row: Sequence[Any], new_row: Sequence[Any]
-    ) -> None:
-        for index in self.indexes.values():
-            if not index.unique:
-                continue
-            old_key = self._index_key(index, old_row)
-            new_key = self._index_key(index, new_row)
-            if new_key is None or new_key == old_key:
-                continue
-            holder = index.tree.get(new_key)
-            if holder is not None and holder != rid:
-                raise ConstraintError(
-                    f"duplicate key {new_key!r} violates unique index "
-                    f"{index.name!r} of table {self.name!r}"
-                )
 
     # -- writes -----------------------------------------------------------------
 
@@ -511,30 +589,27 @@ class Table:
     ) -> int:
         """Insert a row, by default appending; ``position`` inserts into the
         middle of the presentation order (paper's positional insert).
-        ``rid`` restores a specific record id (rollback only)."""
+        ``rid`` puts a deleted row's record id back (rollback only).
+
+        Every check — values, position, unique keys — runs before the
+        mapper, the store or any index is touched."""
         row = self._prepare_row(values)
-        key = self._pk_value(row)
-        if self._pk_index is not None:
-            if key is None:
-                raise ConstraintError(
-                    f"primary key of {self.name!r} may not be NULL"
-                )
-            if key in self._pk_index:
-                raise ConstraintError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
-        self._index_check_insert(row)
-        rid = self.store.insert(row, rid=rid)
-        if position is None or position >= len(self.positions):
-            position = len(self.positions)
-            self.positions.append(rid)
-        else:
-            if position < 0:
-                raise ExecutionError(f"negative position {position}")
-            self.positions.insert_at(position, rid)
-        if self._pk_index is not None:
-            self._pk_index.insert(key, rid)
-        self._index_insert(rid, row)
+        if position is not None and position < 0:
+            raise ExecutionError(f"negative position {position}")
+        self._index_check(row)
+        with self.store.mutation_lock:
+            n_rows = self.store.n_rows
+            if position is None or position >= n_rows:
+                position = n_rows
+            if rid is not None:
+                self.positions.insert_key(position, rid)
+            elif position < n_rows:
+                self.positions.insert(position, 1)
+            # An append takes the key already waiting at the end of the
+            # order, so an append-only table never splices its mapper.
+            rid = self.positions.physical_of(position)
+            self.store.insert(row, rid=rid)
+            self._index_insert(rid, row)
         if emit:
             self._emit(ChangeEvent(self.name, "insert", position, rid, row))
         return rid
@@ -562,18 +637,7 @@ class Table:
                 )
             new_values[index] = coerced
         new_row = tuple(new_values)
-        old_key = self._pk_value(old_row)
-        new_key = self._pk_value(new_row)
-        if self._pk_index is not None and old_key != new_key:
-            if new_key is None:
-                raise ConstraintError(f"primary key of {self.name!r} may not be NULL")
-            if new_key in self._pk_index:
-                raise ConstraintError(
-                    f"duplicate primary key {new_key!r} in table {self.name!r}"
-                )
-            self._pk_index.delete(old_key)
-            self._pk_index.insert(new_key, rid)
-        self._index_check_update(rid, old_row, new_row)
+        self._index_check(new_row, rid, old_row)
         self._index_update(rid, old_row, new_row)
         if len(changes) == 1:
             # Single-column update: touch only that column's group (the
@@ -591,38 +655,29 @@ class Table:
 
     def delete_at(self, position: int, emit: bool = True) -> Tuple[Any, ...]:
         """Delete the row at a presentation position."""
-        rid = self.positions.delete_at(position)
-        row = self.store.get(rid)
-        if self._pk_index is not None:
-            self._pk_index.delete(self._pk_value(row))
-        self._index_delete(rid, row)
-        self.store.delete(rid)
+        return self._delete(position, self.rid_at(position), emit)
+
+    def delete_rids(self, rids: Sequence[int], emit: bool = True) -> int:
+        """Delete rows by rid (used by DELETE ... WHERE plans), from the
+        highest position down so the lower positions stay valid."""
+        targets = set()
+        for rid in rids:
+            position = self.position_of(rid)
+            if position is not None:
+                targets.add((position, rid))
+        for position, rid in sorted(targets, reverse=True):
+            self._delete(position, rid, emit)
+        return len(targets)
+
+    def _delete(self, position: int, rid: int, emit: bool) -> Tuple[Any, ...]:
+        with self.store.mutation_lock:
+            row = self.store.get(rid)
+            self._index_delete(rid, row)
+            self.positions.delete(position, 1)
+            self.store.delete(rid)
         if emit:
             self._emit(ChangeEvent(self.name, "delete", position, rid, None, row))
         return row
-
-    def delete_rids(self, rids: Sequence[int], emit: bool = True) -> int:
-        """Delete rows by rid (used by DELETE ... WHERE plans)."""
-        doomed = set(rids)
-        if not doomed:
-            return 0
-        # Find positions in one pass, then delete from the tail backwards so
-        # earlier positions stay valid.
-        pairs = [
-            (position, rid)
-            for position, rid in enumerate(self.positions)
-            if rid in doomed
-        ]
-        for position, rid in reversed(pairs):
-            row = self.store.get(rid)
-            if self._pk_index is not None:
-                self._pk_index.delete(self._pk_value(row))
-            self._index_delete(rid, row)
-            self.positions.delete_at(position)
-            self.store.delete(rid)
-            if emit:
-                self._emit(ChangeEvent(self.name, "delete", position, rid, None, row))
-        return len(pairs)
 
     # -- schema evolution ----------------------------------------------------------
 
@@ -658,7 +713,7 @@ class Table:
 
     def rename_column(self, old: str, new: str, emit: bool = True) -> None:
         self.store.rename_column(old, new)
-        for index in self.indexes.values():
+        for index in self._all_indexes():
             if index.column.lower() == old.lower():
                 index.column = new
         if emit:
@@ -874,25 +929,34 @@ class Table:
         return self.store.checkpoint()
 
     def validate(self) -> None:
+        """Full consistency check: store, mapper, and every index entry
+        against the stored rows (not only the sizes)."""
         self.store.validate()
         self.positions.validate()
-        if len(self.positions) != self.store.n_rows:
+        live = self.store.rids()
+        ordered = self.rids()
+        if len(live) != self.store.n_rows or sorted(ordered) != sorted(live):
             raise StorageError(
-                f"positional index has {len(self.positions)} entries, "
-                f"store has {self.store.n_rows} rows"
+                f"positions [0, {self.store.n_rows}) of {self.name!r} map "
+                f"{len(ordered)} rids that are not the store's {len(live)} "
+                "live rids"
             )
-        if self._pk_index is not None:
-            self._pk_index.validate()
-            if len(self._pk_index) != self.store.n_rows:
-                raise StorageError("primary key index size drifted")
-        for index in self.indexes.values():
+        rows = {rid: self.store.read_row(rid) for rid in live}
+        for index in self._all_indexes():
             index.tree.validate()
             col = self.schema.column_index(index.column)
-            non_null = sum(
-                1 for rid in self.store.rids() if self.store.get(rid)[col] is not None
-            )
-            if len(index.tree) != non_null:
+            expected: Dict[Any, List[int]] = {}
+            for rid, row in rows.items():
+                # A NULL primary key is itself a violation: it is kept as
+                # an expected key the tree can never hold.
+                if row[col] is not None or index is self.primary_index:
+                    expected.setdefault(row[col], []).append(rid)
+            actual = {
+                key: sorted(value) if isinstance(value, list) else [value]
+                for key, value in index.tree.items()
+            }
+            if actual != {key: sorted(rids) for key, rids in expected.items()}:
                 raise StorageError(
-                    f"secondary index {index.name!r} holds {len(index.tree)} "
-                    f"entries for {non_null} non-null rows"
+                    f"index {index.name!r} of {self.name!r} does not match "
+                    "the stored rows"
                 )

@@ -1,7 +1,8 @@
 """B+-tree key index.
 
-Used for primary-key lookups in :class:`~repro.engine.table.Table` and for
-the interface manager's key↔position mapping (paper §3: "the interface
+Backs every key index of :class:`~repro.engine.table.Table` (the implicit
+primary-key index and the secondary indexes alike) and the interface
+manager's key↔position mapping (paper §3: "the interface
 manager maintains a mapping between a tuple's key attribute and its
 corresponding location").
 

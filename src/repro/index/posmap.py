@@ -1,37 +1,41 @@
-"""Positional mapping: logical row/column positions over stable physical keys.
+"""Positional mapping: logical positions over stable physical keys.
 
 The paper's positional index makes "interface-oriented operations, e.g.,
 ordered presentation, efficient" — the crux being that inserting or
-deleting a row in the *middle* of a sheet must not renumber everything
-below it.  :class:`~repro.index.positional.PositionalIndex` already gives
-a table that property; this module gives it to the **interface storage
-manager**: cells are stored under immutable *physical* keys, and a
-:class:`PositionalMapper` per axis translates the logical (presentation)
-coordinate the user sees into the physical key the 2-D index stores.
+deleting a row in the *middle* of a sheet or table must not renumber
+everything below it.  A :class:`PositionalMapper` translates the logical
+(presentation) coordinate the user sees into an immutable *physical* key,
+and it is the one positional structure of the system:
+
+* each **sheet axis** of the interface storage manager maps row/column
+  positions to the physical keys the 2-D cell index stores,
+* each **table** (:class:`repro.engine.table.Table`, attribute
+  ``positions``) maps presentation positions to record ids — the table's
+  rids *are* the mapper's physical keys.
 
 A structural edit then becomes a *key-space splice*: inserting ``k`` rows
 at position ``p`` carves ``k`` fresh physical keys into the mapping at
-``p`` — **zero stored cells move**, and every cell below the edit simply
-answers to a logical position one ``k`` higher.
+``p`` — **zero stored cells or rows move**, and everything below the edit
+simply answers to a logical position one ``k`` higher.
 
 Representation: the monotone logical→physical function is piecewise
 translational, so the mapper holds *spans* — maximal runs of consecutive
 logical positions mapping to consecutive physical keys — in a
-weight-augmented order-statistic treap (the same structure backing
-:mod:`repro.index.order_statistic`, augmented by span *length* instead of
-node count, with parent pointers so the reverse lookup can rank a span in
-O(log s)).  With ``s`` spans (``s ≤ 1 + 2·edits``):
+weight-augmented order-statistic treap (augmented by span *length*, with
+parent pointers so the reverse lookup can rank a span in O(log s)).  With
+``s`` spans (``s ≤ 1 + 2·edits``):
 
 * ``physical_of(pos)`` — O(log s) weighted descent,
 * ``position_of(phys)`` — O(log s): bisect the span covering ``phys``
   (span physical intervals are disjoint), then rank it by climbing parent
   pointers — **not** the O(n) scan the naive reverse lookup needs,
-* ``insert(at, k)`` / ``delete(at, k)`` — O(log s) splice, independent of
-  how many cells or rows the sheet holds.
+* ``insert(at, k)`` / ``delete(at, k)`` / ``insert_key(at, key)`` —
+  O(log s) splices, independent of how many cells or rows there are.
 
 The logical axis is a fixed universe ``[0, LOGICAL_MAX)`` (2^40 slots —
 vastly beyond any sheet); fresh physical keys are allocated past
-``LOGICAL_MAX`` so they can never collide with the identity mapping.
+``LOGICAL_MAX`` so they can never collide with the identity mapping, and
+a key freed by a delete is never issued again.
 """
 
 from __future__ import annotations
@@ -270,11 +274,26 @@ class PositionalMapper:
         intervals pushed off the end of the universe (empty in practice)."""
         if count <= 0 or at >= LOGICAL_MAX:
             return []
+        fresh = self._next_fresh
+        self._next_fresh += count
+        return self._splice_in(at, fresh, count)
+
+    def insert_key(self, at: int, key: int) -> List[Tuple[int, int]]:
+        """Put the freed physical key ``key`` back at position ``at`` —
+        how a table's rollback returns a deleted row to its old rid and
+        place.  Freed keys are never issued again, so only a key that is
+        currently mapped can collide; that raises before any change."""
+        index = bisect.bisect_right(self._phys_starts, key) - 1
+        if index >= 0:
+            span = self._span_at[self._phys_starts[index]]
+            if key < span.phys + span.length:
+                raise DataSpreadError(f"physical key {key} is already mapped")
+        return self._splice_in(at, key, 1)
+
+    def _splice_in(self, at: int, phys: int, count: int) -> List[Tuple[int, int]]:
         self.counts.splices += 1
         first, second = self._split(self._root, at)
-        fresh = self._new_span(self._next_fresh, count)
-        self._next_fresh += count
-        root = _merge(_merge(first, fresh), second)
+        root = _merge(_merge(first, self._new_span(phys, count)), second)
         kept, overflow = self._split(root, LOGICAL_MAX)
         dropped: List[Tuple[int, int]] = []
         self._collect_drop(overflow, dropped)

@@ -633,6 +633,18 @@ class TestSanitizer:
         with pytest.raises(SanitizerError):
             db.sanitizer.check_table(table)
 
+    def test_check_table_detects_order_drift(self):
+        db = Database(sanitize=True)
+        db.execute("CREATE TABLE t (a INT)")
+        db.execute("INSERT INTO t VALUES (1), (2), (3)")
+        table = db.table("t")
+        # Same row count, but position 1 now maps to a rid the store
+        # never held: only a rid-by-rid comparison catches it.
+        table.positions.delete(1, 1)
+        table.positions.insert(1, 1)
+        with pytest.raises(SanitizerError, match="live"):
+            db.sanitizer.check_table(table)
+
     def test_check_counters_accumulate(self):
         sanitizer = Sanitizer()
         before = sanitizer.checks

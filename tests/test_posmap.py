@@ -4,6 +4,7 @@ edits (PositionalMapper) and its integration into the CellStore."""
 import pytest
 
 from repro.core.cell import Cell
+from repro.errors import DataSpreadError
 from repro.index.posmap import LOGICAL_MAX, PositionalMapper
 from repro.interface_storage import CellStore
 
@@ -35,6 +36,23 @@ class TestPositionalMapper:
         assert mapper.physical_of(2) == 5       # shifted up
         assert mapper.position_of(3) is None    # freed key
         assert mapper.position_of(5) == 2
+        mapper.validate()
+
+    def test_freed_key_goes_back_at_a_position(self):
+        mapper = PositionalMapper()
+        mapper.insert(2, 1)                     # a fresh key at 2
+        assert mapper.delete(5, 1) == [(4, 4)]  # frees key 4
+        mapper.insert_key(1, 4)
+        assert mapper.physical_of(1) == 4
+        assert mapper.position_of(4) == 1
+        assert mapper.physical_of(0) == 0
+        assert mapper.physical_of(2) == 1       # the rest shifted up
+        assert mapper.physical_of(6) == 5       # behind the old hole: same place
+        mapper.validate()
+        with pytest.raises(DataSpreadError):
+            mapper.insert_key(0, 4)             # mapped again: refused
+        with pytest.raises(DataSpreadError):
+            mapper.insert_key(0, mapper.physical_of(3))
         mapper.validate()
 
     def test_reverse_lookup_roundtrip_through_edits(self):

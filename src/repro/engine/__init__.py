@@ -7,8 +7,12 @@ interface-aware query processor.  Those changes are the research
 contribution, so this package implements the whole engine from scratch:
 
 * :mod:`repro.engine.pager` — page/buffer substrate with block-I/O counters,
-* :mod:`repro.engine.rowstore` / :mod:`repro.engine.columnstore` /
-  :mod:`repro.engine.hybridstore` — the three physical layouts,
+* :mod:`repro.engine.store` — the attribute-group tuple store; the row,
+  column and hybrid layouts are its ``LayoutPolicy`` values, and
+  ``scan_group_batches`` is the one loop that reads page chains,
+* :mod:`repro.engine.hybridstore` — block-I/O pricing of hybrid groupings,
+* :mod:`repro.engine.table` — presentation order over the store;
+  ``scan_column_batches`` is the one presentation-order read loop,
 * :mod:`repro.engine.schema` / :mod:`repro.engine.catalog` — dynamic schema,
 * :mod:`repro.engine.sql_lexer` / :mod:`repro.engine.sql_parser` — SQL text,
 * :mod:`repro.engine.planner` / :mod:`repro.engine.executor` — query

@@ -116,8 +116,6 @@ class Database:
         default_layout: LayoutPolicy = LayoutPolicy.HYBRID,
         buffer_frames: Optional[int] = None,
         auto_layout_interval: int = 64,
-        projection_pushdown: bool = True,
-        vectorized: bool = True,
         data_skipping: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         sanitize: Optional[bool] = None,
@@ -135,13 +133,6 @@ class Database:
         self.catalog.sanitizer = self.sanitizer
         self.catalog.pool.sanitizer = self.sanitizer
         self.default_layout = default_layout
-        # Column-set-aware scans (ProjectedScan); off = full-width scans,
-        # the pre-pipeline behaviour benchmarks compare against.
-        self.projection_pushdown = projection_pushdown
-        # Batched columnar execution (selection vectors over column
-        # fragments, late materialisation); off = the row-at-a-time tuple
-        # path, retained as the comparison baseline.
-        self.vectorized = vectorized
         # Zone-map data skipping + index access paths; off = every scan
         # decodes every covering page (the pre-skipping baseline).
         self.data_skipping = data_skipping
@@ -522,13 +513,7 @@ class Database:
         params: Sequence[Any],
         resolver: Optional[RangeResolver],
     ) -> ResultSet:
-        planner = Planner(
-            self.catalog,
-            resolver,
-            projection_pushdown=self.projection_pushdown,
-            vectorized=self.vectorized,
-            data_skipping=self.data_skipping,
-        )
+        planner = Planner(self.catalog, resolver, data_skipping=self.data_skipping)
         if isinstance(statement, (ast.SelectStmt, ast.CompoundSelect)):
             tracer = self.tracer
             with tracer.span("plan"):
@@ -626,74 +611,61 @@ class Database:
         params: Sequence[Any],
         planner: Planner,
     ) -> List[Tuple[int, int, Tuple[Any, ...]]]:
-        """Rows a DML statement touches: ``(position, rid, full_row)``.
+        """Rows a DML statement touches: ``(position, rid, full_row)`` in
+        presentation order.
 
-        Three shapes, cheapest first:
-
-        * no WHERE — every row is a target; the predicate path is skipped
-          entirely and rows stream off the full scan,
-        * vectorized WHERE — the predicate rides a *narrow* batched scan
-          over just the referenced columns (selection vectors when the
-          expression batch-compiles, row closures otherwise) and full rows
-          are fetched only for the matching rids — the page-I/O saving the
-          hybrid layout grants writes too,
-        * fallback (vectorized off, or a WHERE with no column refs) — the
-          historical full-row scan with a per-row predicate.
-
-        With ``data_skipping`` on, the vectorized scan also hands the
-        WHERE clause's sargable interval sets to the store so zone maps
-        drop non-matching pages before decode, and a point constraint on
-        an indexed column short-circuits to an index probe — DML rides
-        the same selective-read machinery SELECT does.
+        A point constraint on an indexed column is answered by an index
+        probe.  Everything else rides one batched scan over the columns
+        the WHERE references (selection vectors when it batch-compiles,
+        row closures otherwise), with full rows fetched only for the
+        matching rids — the page-I/O saving the hybrid layout grants
+        writes too.  A missing WHERE, or one naming no column, scans every
+        column and takes the rows straight from the batch.  With
+        ``data_skipping`` on, the WHERE clause's sargable interval sets
+        also let zone maps drop non-matching pages before decode.
         """
-        if where is None:
-            return [(position, rid, row) for position, rid, row in table.scan()]
-        full_scope = Scope([(table.name, name) for name in table.column_names])
         refs = {
             node.name.lower()
-            for node in ast.walk_expression(where)
+            for node in (ast.walk_expression(where) if where is not None else ())
             if isinstance(node, ast.ColumnRef)
         }
-        names = [name for name in table.column_names if name.lower() in refs]
-        if not self.vectorized or not names:
-            predicate = planner._compile(where, full_scope)
-            return [
-                (position, rid, row)
-                for position, rid, row in table.scan()
-                if predicate(row, params) is True
-            ]
         ranges = None
-        if self.data_skipping:
+        if self.data_skipping and where is not None:
             ranges = extract_sargable_ranges(where, params, table.name) or None
         if ranges:
             probe = self._dml_index_probe(table, where, params, planner, ranges)
             if probe is not None:
                 return probe
-        narrow_scope = Scope([(table.name, name) for name in names])
-        batch_fn = compile_batch_predicate(where, narrow_scope)
-        row_fn = None if batch_fn is not None else planner._compile(where, narrow_scope)
-        matches: List[Tuple[int, int]] = []
+        names = [name for name in table.column_names if name.lower() in refs]
+        names = names or list(table.column_names)
+        full_rows = len(names) == len(table.column_names)
+        batch_fn = row_fn = None
+        if where is not None:
+            scope = Scope([(table.name, name) for name in names])
+            batch_fn = compile_batch_predicate(where, scope)
+            if batch_fn is None:
+                row_fn = planner._compile(where, scope)
+        targets: List[Tuple[int, int, Any]] = []
         scanned = 0
         batches = 0
         skipped_before = table.store.pages_skipped
-        for start, rids, cols in table.scan_column_batches(
+        for positions, rids, cols in table.scan_column_batches(
             names, predicate_ranges=ranges
         ):
             n = len(rids)
             scanned += n
             batches += 1
-            positions = (
-                start if isinstance(start, list) else range(start, start + n)
-            )
             if batch_fn is not None:
-                for i, verdict in enumerate(batch_fn(cols, params, n)):
-                    if verdict is True:
-                        matches.append((positions[i], rids[i]))
+                verdicts = batch_fn(cols, params, n)
+                hits = [i for i, verdict in enumerate(verdicts) if verdict is True]
+            elif row_fn is not None:
+                rows = enumerate(zip(*cols))
+                hits = [i for i, row in rows if row_fn(row, params) is True]
             else:
-                for i in range(n):
-                    values = tuple(column[i] for column in cols)
-                    if row_fn(values, params) is True:
-                        matches.append((positions[i], rids[i]))
+                hits = range(n)
+            for i in hits:
+                row = tuple(column[i] for column in cols) if full_rows else None
+                targets.append((positions[i], rids[i], row))
         if self.tracer.active:
             self.tracer.current.annotate_child(
                 f"DmlScan({table.name}, cols=[{', '.join(names)}])",
@@ -701,14 +673,13 @@ class Database:
                 cols_read=len(names),
                 batches=batches,
                 rows_per_batch=scanned // batches if batches else 0,
-                rows_matched=len(matches),
+                rows_matched=len(targets),
                 pages_skipped=table.store.pages_skipped - skipped_before,
             )
-        matches.sort()
-        store = table.store
-        return [
-            (position, rid, store.read_row(rid)) for position, rid in matches
-        ]
+        if not full_rows:
+            read_row = table.store.read_row
+            targets = [(position, rid, read_row(rid)) for position, rid, _ in targets]
+        return targets
 
     def _dml_index_probe(
         self,

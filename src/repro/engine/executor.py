@@ -6,8 +6,8 @@ and benchmarks can assert *logical* work (e.g. E10's one-pass claim: a DBSQL
 spill of 100 rows runs one plan, not 100).
 
 Operator inventory: projected scan (column-set-aware table scan with
-pushed predicates, in presentation order via the positional index; the
-legacy full-width ``SeqScan`` is the degenerate all-columns case), values
+pushed predicates, in presentation order via the positional index; a
+full-width scan is its all-columns case), values
 scan (``RANGETABLE`` data and VALUES lists), filter, project, nested-loop
 join, hash join (equi-joins, inner/left), aggregate (hash grouping),
 distinct, sort, limit/offset.
@@ -15,6 +15,7 @@ distinct, sort, limit/offset.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -31,7 +32,6 @@ __all__ = [
     "PlanNode",
     "ProjectedScan",
     "IndexScan",
-    "SeqScan",
     "ValuesScan",
     "FilterNode",
     "ProjectNode",
@@ -102,8 +102,7 @@ class ProjectedScan(PlanNode):
     narrow fragments *before* a row is emitted, so ``rows_out`` counts
     surviving rows; ``rows_scanned`` counts rows examined and
     ``cols_read`` the width of the set, letting tests assert logical
-    work.  ``column_names=None`` scans every column (the legacy
-    ``SeqScan`` behaviour).
+    work.  ``column_names=None`` scans every column.
     """
 
     def __init__(
@@ -111,7 +110,6 @@ class ProjectedScan(PlanNode):
         table: Table,
         binding: str,
         column_names: Optional[Sequence[str]] = None,
-        vectorized: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
         data_skipping: bool = True,
     ):
@@ -125,7 +123,6 @@ class ProjectedScan(PlanNode):
         # (row_fn, description, ast_or_None); the AST is kept so run() can
         # recompile pushed conjuncts into whole-batch selection functions.
         self.predicates: List[Tuple[RowFn, str, Optional[Any]]] = []
-        self.vectorized = vectorized
         self.batch_size = batch_size
         self.data_skipping = data_skipping
         self.rows_scanned = 0
@@ -191,14 +188,14 @@ class ProjectedScan(PlanNode):
     ) -> None:
         """Attach a pushed predicate, evaluated on the narrow fragment.
 
-        ``expression`` is the conjunct's AST when the planner has it; the
-        vectorized path batch-compiles it, and conjuncts without one (or
-        with non-vectorizable shapes) fall back to the row closure."""
+        ``expression`` is the conjunct's AST when the planner has it;
+        :meth:`run` batch-compiles it, and conjuncts without one (or with
+        shapes that do not batch-compile) fall back to the row closure."""
         self.predicates.append((predicate, description, expression))
 
     def label(self) -> str:
         suffix = f", {len(self.predicates)} pushed" if self.predicates else ""
-        if self.data_skipping and self.vectorized:
+        if self.data_skipping:
             plan_ranges = self.sargable_ranges(None)
             if plan_ranges:
                 suffix += f", skip=[{', '.join(sorted(plan_ranges))}]"
@@ -208,36 +205,17 @@ class ProjectedScan(PlanNode):
         )
 
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
-        # The table scan is opened *here*, not at first next(): the store
-        # snapshot is acquired at operator open, so everything this node
-        # yields is isolated from concurrent DML and background
-        # maintenance that lands after run() returns its iterator.
-        self._io_before = self.table.store.covering_io_snapshot(self.column_names)
-        if self.vectorized and self.column_names:
-            return self._count(self._run_batches(ctx))
-        source = self.table.scan_columns(self.column_names)
-
-        def rows() -> Iterator[Tuple[Any, ...]]:
-            for _, _, values in source:
-                self.rows_scanned += 1
-                keep = True
-                for predicate, _, _ in self.predicates:
-                    if predicate(values, ctx.params) is not True:
-                        keep = False
-                        break
-                if keep:
-                    yield values
-
-        return self._count(rows())
-
-    def _run_batches(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
         """Batched execution: selection vectors over column fragments,
-        output tuples materialised only for surviving rids.
+        output tuples materialised only for surviving rows.
 
         Pushed conjuncts with a batch-compilable AST evaluate over whole
         column lists; the rest run row-at-a-time on the already-filtered
         survivors (late materialisation *is* the ``to_rows`` adapter —
-        downstream operators still consume plain tuples)."""
+        downstream operators still consume plain tuples).  The table scan
+        is opened *here*, not at first ``next()``, so the store snapshot
+        is pinned at operator open and everything this node yields is
+        isolated from DML and background maintenance that land later."""
+        self._io_before = self.table.store.covering_io_snapshot(self.column_names)
         batch_fns = []
         row_fns = []
         for predicate, _, expression in self.predicates:
@@ -254,15 +232,13 @@ class ProjectedScan(PlanNode):
         ranges = self.sargable_ranges(params) if self.data_skipping else None
         if ranges:
             self._skip_before = self.table.store.pages_skipped
-        # Open the batched scan now so the snapshot is pinned at operator
-        # open (this method is called eagerly from run(), not lazily).
         source = self.table.scan_column_batches(
             self.column_names, self.batch_size, predicate_ranges=ranges
         )
 
         def rows() -> Iterator[Tuple[Any, ...]]:
-            for _, _, cols in source:
-                n = len(cols[0])
+            for _, rids, cols in source:
+                n = len(rids)
                 self.rows_scanned += n
                 self.batches += 1
                 if batch_fns:
@@ -276,13 +252,14 @@ class ProjectedScan(PlanNode):
                             else (None if a is None or b is None else True)
                             for a, b in zip(keep, other)
                         ]
-                    survivors = [
-                        i for i, verdict in enumerate(keep) if verdict is True
-                    ]
+                    batch_rows = (
+                        tuple(column[i] for column in cols)
+                        for i, verdict in enumerate(keep)
+                        if verdict is True
+                    )
                 else:
-                    survivors = range(n)
-                for i in survivors:
-                    values = tuple(column[i] for column in cols)
+                    batch_rows = zip(*cols) if cols else itertools.repeat((), n)
+                for values in batch_rows:
                     keep_row = True
                     for predicate in row_fns:
                         if predicate(values, params) is not True:
@@ -291,17 +268,7 @@ class ProjectedScan(PlanNode):
                     if keep_row:
                         yield values
 
-        return rows()
-
-
-class SeqScan(ProjectedScan):
-    """Full-width scan: a :class:`ProjectedScan` over every column."""
-
-    def __init__(self, table: Table, binding: str):
-        super().__init__(table, binding, None)
-
-    def label(self) -> str:
-        return f"SeqScan({self.table.name} as {self.binding})"
+        return self._count(rows())
 
 
 class IndexScan(PlanNode):

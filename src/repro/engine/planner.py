@@ -118,19 +118,10 @@ class Planner:
         self,
         catalog: Catalog,
         resolver: Optional[RangeResolver] = None,
-        projection_pushdown: bool = True,
-        vectorized: bool = True,
         data_skipping: bool = True,
     ):
         self.catalog = catalog
         self.resolver = resolver if resolver is not None else RangeResolver()
-        # Off = every table scan is full-width (the pre-pipeline
-        # behaviour); benchmarks use this to measure what the
-        # column-set-aware path saves.
-        self.projection_pushdown = projection_pushdown
-        # Off = scans materialise one tuple per row (the pre-batching
-        # behaviour); the comparison baseline for the vectorized path.
-        self.vectorized = vectorized
         # Off = scans decode every covering page and index access paths
         # are never chosen — the PR-9 baseline for the skipping benchmark.
         self.data_skipping = data_skipping
@@ -276,7 +267,7 @@ class Planner:
         if isinstance(item, ast.TableRef):
             table = self.catalog.get(item.name)
             names: Optional[List[str]] = None
-            if self.projection_pushdown and required is not None:
+            if required is not None:
                 wanted = required.get(item.binding.lower())
                 if wanted is not None:
                     names = [
@@ -285,11 +276,7 @@ class Planner:
                         if name.lower() in wanted
                     ]
             node: PlanNode = ProjectedScan(
-                table,
-                item.binding,
-                names,
-                vectorized=self.vectorized,
-                data_skipping=self.data_skipping,
+                table, item.binding, names, data_skipping=self.data_skipping
             )
         elif isinstance(item, ast.RangeTable):
             columns, rows = self.resolver.resolve_range_table(item.reference)

@@ -22,6 +22,12 @@ Records are addressed by a **rid** that never changes; a table assigns
 them from its positional mapper (:mod:`repro.index.posmap`), which also
 holds the table's presentation order — the store keeps none.
 
+**One read loop.** :meth:`GroupedTupleStore.scan_group_batches` (page by
+page through ``_chain_batches``) is the only code that walks page chains
+for reads; :meth:`~GroupedTupleStore.scan`,
+:meth:`~GroupedTupleStore.scan_column` and
+:meth:`~GroupedTupleStore.scan_groups` are tuple adapters over it.
+
 **Concurrency model** (HTAP isolation): one writer at a time mutates the
 store under ``_mutation_lock``; readers never take it for iteration.
 Instead, scans open a :class:`StoreSnapshot` — an epoch-stamped, immutable
@@ -355,6 +361,7 @@ class StoreSnapshot:
         "chains",
         "tags",
         "n_rows",
+        "rids_ascending",
         "_store",
         "_rid_maps",
         "released",
@@ -368,6 +375,7 @@ class StoreSnapshot:
         chains: List[Tuple[int, ...]],
         tags: List[Tuple[str, int]],
         n_rows: int,
+        rids_ascending: bool,
     ):
         self._store = store
         self.epoch = epoch
@@ -375,6 +383,9 @@ class StoreSnapshot:
         self.chains = chains
         self.tags = tags
         self.n_rows = n_rows
+        # Heap order is ascending rid order in every captured chain, so a
+        # reader that has seen rid r will see no rid below r again.
+        self.rids_ascending = rids_ascending
         # Lazily-built rid → page-id directories over the captured chains,
         # only materialised by the lockstep-violation fallback path.
         self._rid_maps: Dict[int, Dict[int, int]] = {}
@@ -473,6 +484,9 @@ class GroupedTupleStore:
         self._next_gid = schema.n_groups
         self._next_rid = 0
         self._n_rows = 0
+        # True while every chain holds its records in ascending rid order;
+        # only a rollback re-inserting an old rid at the tail breaks it.
+        self._rids_ascending = True
         self.access_stats = AccessStats()
         # Per-group page-encoding state.  A group is "encoded" when its
         # chain prefix holds compressed column fragments (see encoding.py);
@@ -484,7 +498,7 @@ class GroupedTupleStore:
         self._group_ratio: List[float] = [1.0] * schema.n_groups
         self._group_enc_failed: List[bool] = [False] * schema.n_groups
         self._group_plain_pages: List[int] = [0] * schema.n_groups
-        # Store-level vectorized-execution counters (metrics exporter).
+        # Store-level batched-scan counters (metrics exporter).
         self.batch_scans = 0
         self.batches_emitted = 0
         self.bytes_decoded = 0
@@ -547,6 +561,7 @@ class GroupedTupleStore:
                 [tuple(chain) for chain in self._chains],
                 [self._tag(index) for index in range(len(self._chains))],
                 self._n_rows,
+                self._rids_ascending,
             )
             for chain in snap.chains:
                 if chain:
@@ -965,6 +980,8 @@ class GroupedTupleStore:
             if rid is not None:
                 if self.exists(rid):
                     raise StorageError(f"rid {rid} is already live")
+                if rid < self._next_rid - 1:
+                    self._rids_ascending = False
                 self._next_rid = max(self._next_rid, rid + 1)
             else:
                 rid = self._next_rid
@@ -1037,182 +1054,46 @@ class GroupedTupleStore:
             self._n_rows -= 1
             self.access_stats.deletes += 1
 
+    @property
+    def rows_per_page(self) -> int:
+        """Records on a plain page of the widest group: the batch size the
+        tuple adapters request, so a consumer that stops early has read
+        about one page per covering chain."""
+        return min(self._group_capacity(index) for index in range(self.n_groups))
+
     def scan(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Yield ``(rid, row)`` in heap order of the first group's chain."""
-        self.access_stats.full_scans += 1
-        for rid in self.rids():
-            yield rid, self.read_row(rid)
+        """Yield ``(rid, row)`` in heap order: :meth:`scan_groups` over
+        every column."""
+        return self.scan_groups(self.schema.column_names)
 
     def scan_column(self, column_name: str) -> Iterator[Tuple[int, Any]]:
-        """Column scan touching only that column's group chain.
-
-        Snapshot-isolated: the chain is captured at call time, so the
-        iterator streams the pre-write version regardless of concurrent
-        DML or migrations."""
-        with self._mutation_lock:
-            snap = self.snapshot()
-            try:
-                group_index = snap.group_of(column_name)
-                self.access_stats.record_scan([column_name])
-                members = snap.groups[group_index]
-                offset = next(
-                    i
-                    for i, name in enumerate(members)
-                    if name.lower() == column_name.lower()
-                )
-            except BaseException:
-                snap.release()
-                raise
-
-        def values() -> Iterator[Tuple[int, Any]]:
-            try:
-                tag = snap.tags[group_index]
-                for page_id in snap.chains[group_index]:
-                    page = self.pool.get(page_id)
-                    enc = page.header.get("enc")
-                    if enc is None:
-                        self._charge_decode_tag(
-                            tag, page.n_records * PLAIN_VALUE_BYTES
-                        )
-                        for rid, fragment in page.records:
-                            yield rid, fragment[offset]
-                    else:
-                        kind, payload = enc["cols"][offset]
-                        self._charge_decode_tag(tag, enc["col_bytes"][offset])
-                        decoded = decode_column(kind, payload)
-                        for rid, value in zip(enc["rids"], decoded):
-                            yield rid, value
-            finally:
-                snap.release()
-
-        return values()
+        """Yield ``(rid, value)`` off the column's own chain: a tuple
+        adapter over :meth:`scan_group_batches`, snapshot pinned now."""
+        batches = self.scan_group_batches([column_name], self.rows_per_page)
+        return (
+            (rid, value)
+            for rids, (values,) in batches
+            for rid, value in zip(rids, values)
+        )
 
     def scan_groups(
         self,
         column_names: Sequence[str],
         snapshot: Optional[StoreSnapshot] = None,
     ) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Scan a *set* of columns together, touching only the page chains
-        of the groups that cover them.
-
-        Yields ``(rid, values)`` with ``values`` ordered like
-        ``column_names``, rid-aligned across the covering groups.  The
-        scan iterates a :class:`StoreSnapshot` captured at call time (or
-        the caller-provided one), so concurrent writes and in-flight
-        ``restructure()`` swaps are invisible to it.  The captured chains
-        are walked **in lockstep**: every mutation applies to all chains
-        identically (inserts append everywhere, deletes remove everywhere,
-        restructures rebuild in the shared rid order), so all chains
-        enumerate records in the same order and the scan streams lazily —
-        an early-exiting consumer (LIMIT) only reads the page prefix it
-        consumed, and a full pass reads each covering chain sequentially
-        exactly once.  Charges one co-access scan over the set (or a plain
-        full scan when the set covers every column) — the workload signals
-        the layout advisor prices.  Iteration order is the heap order of
-        the covering chains; callers wanting presentation order go through
-        :meth:`repro.engine.table.Table.scan_columns`.
-
-        A snapshot passed in stays the caller's to release; one taken
-        here is released when the iterator is exhausted or closed.
-        """
-        names = list(column_names)
-        if not names:
-            return iter(())
-        owns = snapshot is None
-        with self._mutation_lock:
-            snap = snapshot if snapshot is not None else self.snapshot()
-            try:
-                # (group_index, fragment_offset, output_offset) per column,
-                # resolved against the captured grouping.
-                placements = snap.placements(names)
-                if {name.lower() for name in names} == snap.column_set():
-                    # A full-width request is a table scan, not a column-set
-                    # signal: keep the historical full_scans accounting (and
-                    # the advisor's hot-column ranking unskewed by SELECT *).
-                    self.access_stats.full_scans += 1
-                else:
-                    self.access_stats.record_scan(names)
-            except BaseException:
-                if owns:
-                    snap.release()
-                raise
-        covering = sorted({group_index for group_index, _, _ in placements})
-        by_group: Dict[int, List[Tuple[int, int]]] = {}
-        for group_index, frag_offset, out_offset in placements:
-            by_group.setdefault(group_index, []).append((frag_offset, out_offset))
-        chain_records = self._chain_records
-
-        def rows() -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-            try:
-                width = len(names)
-                driver = covering[0]
-                others = covering[1:]
-                needed = {
-                    group_index: [frag for frag, _ in by_group[group_index]]
-                    for group_index in covering
-                }
-                cursors = {
-                    group_index: chain_records(snap, group_index, needed[group_index])
-                    for group_index in others
-                }
-                fallback: set = set()
-                for rid, fragment in chain_records(snap, driver, needed[driver]):
-                    slot: List[Any] = [None] * width
-                    for frag_offset, out_offset in by_group[driver]:
-                        slot[out_offset] = fragment[frag_offset]
-                    for group_index in others:
-                        record = None
-                        if group_index not in fallback:
-                            record = next(cursors[group_index], None)
-                            if record is None or record[0] != rid:
-                                # Lockstep invariant violated (should not
-                                # happen); degrade this chain to per-rid
-                                # directory lookups — slower, still correct.
-                                fallback.add(group_index)
-                                record = None
-                        if record is None:
-                            record = (rid, snap.fragment_at(group_index, rid))
-                        for frag_offset, out_offset in by_group[group_index]:
-                            slot[out_offset] = record[1][frag_offset]
-                    yield rid, tuple(slot)
-            finally:
-                if owns:
-                    snap.release()
-
-        return rows()
-
-    def _chain_records(
-        self, snap: StoreSnapshot, group_index: int, needed_offsets: Sequence[int]
-    ) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Stream one captured chain's ``(rid, fragment)`` records in page
-        order, decoding encoded pages lazily.  Only ``needed_offsets`` of
-        each fragment are guaranteed populated (others are ``None`` on
-        encoded pages); decoded bytes are charged for exactly those
-        columns, against the tag captured at snapshot time."""
-        width = max(1, len(snap.groups[group_index]))
-        needed = sorted(set(needed_offsets))
-        tag = snap.tags[group_index]
-        for page_id in snap.chains[group_index]:
-            page = self.pool.get(page_id)
-            enc = page.header.get("enc")
-            if enc is None:
-                self._charge_decode_tag(
-                    tag, page.n_records * len(needed) * PLAIN_VALUE_BYTES
-                )
-                for record in page.records:
-                    yield record
-                continue
-            self._charge_decode_tag(
-                tag, sum(enc["col_bytes"][offset] for offset in needed)
-            )
-            columns: List[Optional[List[Any]]] = [None] * width
-            for offset in needed:
-                kind, payload = enc["cols"][offset]
-                columns[offset] = decode_column(kind, payload)
-            for i, rid in enumerate(enc["rids"]):
-                yield rid, tuple(
-                    column[i] if column is not None else None for column in columns
-                )
+        """Yield ``(rid, values)`` with ``values`` ordered like
+        ``column_names``: the tuple adapter over :meth:`scan_group_batches`
+        (same snapshot, statistics and lockstep rules).  Batches are one
+        page long, so an early-exiting consumer (LIMIT) reads only the
+        page prefix it consumed."""
+        batches = self.scan_group_batches(
+            column_names, self.rows_per_page, snapshot
+        )
+        return (
+            (rid, values)
+            for rids, cols in batches
+            for rid, values in zip(rids, zip(*cols))
+        )
 
     def _chain_batches(
         self,
@@ -1313,16 +1194,25 @@ class GroupedTupleStore:
         snapshot: Optional[StoreSnapshot] = None,
         predicate_ranges: Optional[Dict[str, Any]] = None,
     ) -> Iterator[Tuple[List[int], List[List[Any]]]]:
-        """Batched form of :meth:`scan_groups`: yields ``(rids, columns)``
-        with ``columns`` ordered like ``column_names`` and every list
+        """The store's one read loop: yields ``(rids, columns)`` with
+        ``columns`` ordered like ``column_names`` and every list
         rid-aligned, ``batch_size`` rows per batch (the last one short).
+        :meth:`scan`, :meth:`scan_column` and :meth:`scan_groups` are
+        tuple adapters over it.
 
         The covering chains are captured in a :class:`StoreSnapshot` at
-        call time (or taken from the caller) and stream page-at-a-time
-        with encoded pages decoded lazily into whole column fragments — no
-        per-row tuples are built here; late materialization is the
-        *caller's* choice.  Charges the same workload statistics as
-        :meth:`scan_groups`.
+        call time (or taken from the caller, who then releases it) and
+        stream page-at-a-time with encoded pages decoded lazily into whole
+        column fragments — no per-row tuples are built here; late
+        materialization is the *caller's* choice.  The chains are walked
+        **in lockstep**: every mutation applies to all chains identically
+        (inserts append everywhere, deletes remove everywhere, restructures
+        rebuild in the shared rid order), so all chains enumerate records
+        in the same heap order and only the page prefix a consumer reached
+        is read.  Charges one co-access scan over the set (or a plain full
+        scan when the set covers every column) — the workload signals the
+        layout advisor prices.  Callers wanting presentation order go
+        through :meth:`repro.engine.table.Table.scan_column_batches`.
 
         ``predicate_ranges`` (lower-cased column name → sargable interval
         set, see :func:`repro.engine.expr.extract_sargable_ranges`) arms
@@ -1342,6 +1232,9 @@ class GroupedTupleStore:
             try:
                 placements = snap.placements(names)
                 if {name.lower() for name in names} == snap.column_set():
+                    # A full-width request is a table scan, not a column-set
+                    # signal: it keeps the advisor's hot-column ranking
+                    # unskewed by SELECT *.
                     self.access_stats.full_scans += 1
                 else:
                     self.access_stats.record_scan(names)

@@ -12,6 +12,11 @@ A table row has three identities:
   manager uses to translate sheet edits into updates (paper §3, Interface
   Manager), indexed by an implicit unique :class:`TableIndex`.
 
+Reads in presentation order go through one loop,
+:meth:`Table.scan_column_batches`, which merges the store's batched heap
+scan into the order; :meth:`Table.scan` and :meth:`Table.scan_columns`
+are tuple adapters over it.
+
 All mutations funnel through this class so that constraint checking, index
 maintenance and change events stay consistent.  Change events drive the
 two-way sync layer: every listener receives :class:`ChangeEvent` records
@@ -21,6 +26,8 @@ after the fact.
 from __future__ import annotations
 
 import bisect
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -79,13 +86,16 @@ class _FrozenOrder:
 
     def __init__(self, spans: List[Tuple[int, int, int]]):
         self.spans = spans
+        self.n_rows = sum(hi - lo + 1 for lo, hi, _ in spans)
         self._starts = [first for _, _, first in spans]
         self._by_rid = sorted(spans)
         self._rid_starts = [lo for lo, _, _ in self._by_rid]
-
-    def __iter__(self) -> Iterator[int]:
-        for lo, hi, _ in self.spans:
-            yield from range(lo, hi + 1)
+        # _first_after[i]: lowest first position among spans i.. in rid order.
+        self._first_after = [self.n_rows] * (len(spans) + 1)
+        for index in range(len(spans) - 1, -1, -1):
+            self._first_after[index] = min(
+                self._first_after[index + 1], self._by_rid[index][2]
+            )
 
     def rids(self, start: int, count: int) -> List[int]:
         """rids at positions ``[start, start+count)``, clamped to the order."""
@@ -98,14 +108,36 @@ class _FrozenOrder:
             index += 1
         return out
 
-    def positions_of(self, rids: List[int]) -> List[Optional[int]]:
-        """Position of each rid (None when absent) — one bisect per rid, or
-        none at all when the batch lies inside a single span."""
+    def batches(self, size: int) -> Iterator[Tuple[range, List[int], List[Any]]]:
+        """Zero-column ``(positions, rids, [])`` batches straight off the
+        spans — no page is read."""
+        for start in range(0, self.n_rows, size):
+            rids = self.rids(start, size)
+            yield range(start, start + len(rids)), rids, []
+
+    def first_position_above(self, rid: int) -> int:
+        """Lowest position holding a rid greater than ``rid`` (``n_rows``
+        when there is none) — O(log spans)."""
+        index = bisect.bisect_right(self._rid_starts, rid)
+        best = self._first_after[index]
+        if index:
+            lo, hi, first = self._by_rid[index - 1]
+            if rid < hi:
+                best = min(best, first + rid + 1 - lo)
+        return best
+
+    def positions_of(self, rids: List[int]) -> Sequence[Optional[int]]:
+        """Position of each rid (None when absent).  A run of consecutive
+        rids inside one span maps to a ``range`` and an ascending batch
+        inside one span to a list, both without a bisect per rid."""
         index = bisect.bisect_right(self._rid_starts, rids[0]) - 1
         if index >= 0:
             lo, hi, first = self._by_rid[index]
-            if rids[-1] <= hi and all(a < b for a, b in zip(rids, rids[1:])):
-                return [first + rid - lo for rid in rids]
+            if rids[-1] <= hi:
+                if rids == list(range(rids[0], rids[-1] + 1)):
+                    return range(first + rids[0] - lo, first + rids[-1] - lo + 1)
+                if all(a < b for a, b in zip(rids, rids[1:])):
+                    return [first + rid - lo for rid in rids]
         out: List[Optional[int]] = []
         for rid in rids:
             index = bisect.bisect_right(self._rid_starts, rid) - 1
@@ -247,97 +279,64 @@ class Table:
         return _FrozenOrder(self.positions.intervals(0, self.store.n_rows - 1))
 
     def scan(self) -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
-        """Yield ``(position, rid, row)`` in presentation order.
-
-        Rides :meth:`scan_columns` over the full column set, so a scan
-        opened before a concurrent write or layout migration streams
-        exactly the pre-write rows (snapshot isolation)."""
+        """Yield ``(position, rid, row)`` in presentation order:
+        :meth:`scan_columns` over the full column set."""
         return self.scan_columns(self.column_names)
 
     def scan_columns(
         self, names: Sequence[str]
     ) -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
-        """Yield ``(position, rid, values)`` in presentation order,
-        touching only the page chains covering ``names``.
-
-        The narrow scan the query pipeline rides: the store walks each
-        covering chain sequentially (charging per-column and co-access
-        statistics) and rows are matched against the presentation order
-        frozen at operator open.  The order and the store chains are
-        captured atomically under the store's mutation lock, so the
-        iterator is isolated from concurrent DML and background
-        restructure swaps.  The store stream is consumed *on demand*:
-        while its rids come out in presentation order (ascending rids when
-        no row was inserted mid-table — the common case) each row is
-        handed through as it is read, so an early-exiting consumer (LIMIT)
-        touches only a page prefix; rows surfaced out of order are
-        buffered until their position comes up.  An empty ``names``
-        yields empty tuples without touching any page — what a bare
-        ``COUNT(*)`` costs."""
-        with self.store.mutation_lock:
-            order = self._freeze_order()
-            if not names:
-                return ((position, rid, ()) for position, rid in enumerate(order))
-            # One critical section pins both identities of the table: the
-            # presentation order and the physical chains must describe the
-            # same set of rows or the merge below would report a missing
-            # rid on a perfectly healthy table.
-            snap = self.store.snapshot()
-            try:
-                source = self.store.scan_groups(names, snapshot=snap)
-            except BaseException:
-                snap.release()
-                raise
-
-        def rows() -> Iterator[Tuple[int, int, Tuple[Any, ...]]]:
-            try:
-                buffered: Dict[int, Tuple[Any, ...]] = {}
-                for position, rid in enumerate(order):
-                    while rid not in buffered:
-                        try:
-                            heap_rid, values = next(source)
-                        except StopIteration:
-                            raise StorageError(
-                                f"rid {rid} missing from column scan of "
-                                f"{self.name!r}"
-                            ) from None
-                        buffered[heap_rid] = values
-                    yield position, rid, buffered.pop(rid)
-            finally:
-                snap.release()
-
-        return rows()
+        """Yield ``(position, rid, values)`` in presentation order: the
+        tuple adapter over :meth:`scan_column_batches`, opened now (so the
+        snapshot is pinned at call time) with one-page batches (so a
+        consumer that stops early reads only the page prefix it used)."""
+        batches = self.scan_column_batches(names, self.store.rows_per_page)
+        return (
+            (position, rid, values)
+            for positions, rids, cols in batches
+            for position, rid, values in zip(
+                positions, rids, zip(*cols) if cols else itertools.repeat(())
+            )
+        )
 
     def scan_column_batches(
         self,
         names: Sequence[str],
         batch_size: int = DEFAULT_BATCH_SIZE,
         predicate_ranges: Optional[Dict[str, Any]] = None,
-    ) -> Iterator[Tuple[Any, List[int], List[List[Any]]]]:
-        """Batched companion to :meth:`scan_columns`: yields
-        ``(start_position, rids, columns)`` in presentation order, with
-        ``columns`` holding one rid-aligned value list per name.
+    ) -> Iterator[Tuple[Sequence[int], List[int], List[List[Any]]]]:
+        """The table's one read loop: yields ``(positions, rids, columns)``
+        in presentation order, with ``columns`` holding one rid-aligned
+        value list per name and ``positions`` the rows' presentation
+        positions (a ``range`` when they are contiguous).
 
-        While the store's batches come out in presentation order (the
-        common case) they are passed through untouched with a running
-        position; once they diverge, rows are buffered per rid and
-        re-emitted in presentation order.  The snapshot is acquired at
-        operator open, exactly like :meth:`scan_columns`, and charges the
-        same workload statistics.
+        The presentation order and a store snapshot are captured together
+        under the store's mutation lock when this is called, so the scan
+        is isolated from later DML and layout migrations.  An empty
+        ``names`` yields empty column lists straight from the order,
+        without touching any page — what a bare ``COUNT(*)`` costs.
 
         ``predicate_ranges`` (lowered column name → ``expr.IntervalSet``)
         turns on zone-map data skipping: pages proven to hold no possible
-        match are dropped before decode.  Because skipped pages leave holes
-        in the presentation order, the first tuple element becomes a
-        *list* of positions instead of a scalar start — callers that only
-        consume ``columns`` (the vectorized filter pipeline) are shape
-        agnostic.  Survivors are a superset of the true matches; callers
-        still apply the full predicate."""
+        match are dropped before decode, leaving holes in ``positions``.
+        Survivors are a superset of the true matches; callers still apply
+        the full predicate.
+
+        The store yields heap order; rows it surfaces ahead of their
+        presentation position are held back and a row is emitted only once
+        no row at a lower position can still arrive.  A position is
+        settled once its row has arrived, or — when the snapshot's heap
+        order is ascending rid order — once its rid is at or below the
+        highest rid seen so far (that row arrived or zone maps skipped
+        it).  Without that proof, held rows wait for the end of the scan."""
         names = list(names)
-        if not names:
-            return iter(())
         with self.store.mutation_lock:
             order = self._freeze_order()
+            if not names:
+                return order.batches(batch_size)
+            # One critical section pins both identities of the table: the
+            # presentation order and the physical chains must describe the
+            # same set of rows.
             snap = self.store.snapshot()
             try:
                 source = self.store.scan_group_batches(
@@ -349,99 +348,69 @@ class Table:
             except BaseException:
                 snap.release()
                 raise
-        width = len(names)
-        if predicate_ranges:
-            return self._skipping_batches(snap, order, source, width, batch_size)
+        complete = not predicate_ranges
 
-        def batches() -> Iterator[Tuple[int, List[int], List[List[Any]]]]:
-            start = 0
-            pending: Dict[int, Tuple[Any, ...]] = {}
+        def emit(ready: List[Tuple[int, int, Tuple[Any, ...]]]):
+            for lo in range(0, len(ready), batch_size):
+                chunk = ready[lo : lo + batch_size]
+                yield (
+                    [position for position, _, _ in chunk],
+                    [rid for _, rid, _ in chunk],
+                    [list(column) for column in zip(*(row for _, _, row in chunk))],
+                )
 
-            def drain() -> Iterator[Tuple[int, List[int], List[List[Any]]]]:
-                nonlocal start
-                batch_rids: List[int] = []
-                batch_rows: List[Tuple[Any, ...]] = []
-                for rid in order.rids(start, len(pending)):
-                    row = pending.pop(rid, None)
-                    if row is None:
-                        break
-                    batch_rids.append(rid)
-                    batch_rows.append(row)
-                if batch_rids:
-                    columns = [[row[j] for row in batch_rows] for j in range(width)]
-                    yield start, batch_rids, columns
-                    start += len(batch_rids)
-
+        def batches() -> Iterator[Tuple[Sequence[int], List[int], List[List[Any]]]]:
+            settled = 0  # every position below this is emitted or never arrives
+            held: List[Tuple[int, int, Tuple[Any, ...]]] = []  # heap by position
+            emitted = 0
+            top_rid = -1
             try:
                 for rids, cols in source:
-                    if not pending and rids == order.rids(start, len(rids)):
-                        yield start, rids, cols
-                        start += len(rids)
-                        continue
-                    for i, rid in enumerate(rids):
-                        pending[rid] = tuple(column[i] for column in cols)
-                    yield from drain()
-                missing = order.rids(start, 1)
-                if missing:
-                    raise StorageError(
-                        f"rid {missing[0]} missing from column scan of {self.name!r}"
-                    )
-            finally:
-                snap.release()
-
-        return batches()
-
-    def _skipping_batches(
-        self,
-        snap: Any,
-        order: _FrozenOrder,
-        source: Iterator[Tuple[List[int], List[List[Any]]]],
-        width: int,
-        batch_size: int,
-    ) -> Iterator[Tuple[List[int], List[int], List[List[Any]]]]:
-        """Merge loop of a zone-map-skipping scan: yields ``(positions,
-        rids, columns)`` with an explicit presentation-position list per
-        batch (skipped pages leave holes, so a scalar start offset cannot
-        describe a batch).  While the store's rids come out in
-        presentation order (the common case) surviving batches stream
-        straight through; once they do not, the remainder is buffered and
-        re-emitted sorted by position."""
-
-        def batches() -> Iterator[Tuple[List[int], List[int], List[List[Any]]]]:
-            emitted_through = -1
-            held: List[Tuple[int, int, Tuple[Any, ...]]] = []
-            try:
-                for rids, cols in source:
-                    if not rids:
-                        continue
                     positions = order.positions_of(rids)
-                    for rid, position in zip(rids, positions):
-                        if position is None:
-                            raise StorageError(
-                                f"rid {rid} missing from positional index "
-                                f"of {self.name!r}"
-                            )
+                    if not isinstance(positions, range) and None in positions:
+                        rid = rids[positions.index(None)]
+                        raise StorageError(
+                            f"rid {rid} missing from positional index of {self.name!r}"
+                        )
+                    bound = 0
+                    if snap.rids_ascending:
+                        top_rid = max(top_rid, rids[-1])
+                        bound = order.first_position_above(top_rid)
+                    n = len(rids)
                     if (
                         not held
-                        and positions[0] > emitted_through
-                        and all(a < b for a, b in zip(positions, positions[1:]))
+                        and positions[0] >= settled
+                        and positions[-1] < max(bound, settled + n)
+                        and (
+                            isinstance(positions, range)
+                            or all(a < b for a, b in zip(positions, positions[1:]))
+                        )
                     ):
-                        emitted_through = positions[-1]
+                        # In order and nothing below can still arrive:
+                        # pass the store's batch straight through.
                         yield positions, rids, cols
+                        emitted += n
+                        settled = max(bound, positions[-1] + 1)
                         continue
-                    for i, rid in enumerate(rids):
-                        held.append(
-                            (positions[i], rid, tuple(col[i] for col in cols))
-                        )
-                if held:
-                    held.sort()
-                    for lo in range(0, len(held), batch_size):
-                        chunk = held[lo : lo + batch_size]
-                        yield (
-                            [position for position, _, _ in chunk],
-                            [rid for _, rid, _ in chunk],
-                            [[row[j] for _, _, row in chunk] for j in range(width)],
-                        )
+                    for item in zip(positions, rids, zip(*cols)):
+                        heapq.heappush(held, item)
+                    settled = max(settled, bound)
+                    ready = []
+                    while held and held[0][0] <= settled:
+                        item = heapq.heappop(held)
+                        ready.append(item)
+                        if item[0] == settled:
+                            settled += 1
+                    emitted += len(ready)
+                    yield from emit(ready)
+                ready = [heapq.heappop(held) for _ in range(len(held))]
+                emitted += len(ready)
+                yield from emit(ready)
+                if complete and emitted != order.n_rows:
+                    raise StorageError(
+                        f"{order.n_rows - emitted} rows missing from column "
+                        f"scan of {self.name!r}"
+                    )
             finally:
                 snap.release()
 

@@ -293,6 +293,48 @@ class TestDmlSelectiveReads:
         db.table("t").validate()
 
 
+class TestSkippingKeepsPresentationOrder:
+    """Skipped pages leave holes in the scanned positions; the surviving
+    rows must still come out in presentation order, even when the heap
+    surfaces a row long after its position."""
+
+    def build(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a INT, b INT)")
+        table = db.table("t")
+        for i in range(3000):
+            table.insert((i, i), emit=False)
+        db.execute("INSERT INTO t VALUES (-1, -1) AT POSITION 0")
+        return db
+
+    def skipping_rows(self, db, sql):
+        result, trace = db.trace_statement(sql)
+        assert find_prefix(trace, "ProjectedScan").counters["pages_skipped"] > 0
+        return result.rows
+
+    def test_row_inserted_at_position_zero_comes_first(self):
+        db = self.build()
+        rows = self.skipping_rows(db, "SELECT a FROM t WHERE a < 1500")
+        assert rows == [(a,) for a in range(-1, 1500)]
+        assert db.execute("SELECT a FROM t WHERE a + 0 < 1500").rows == rows
+        limited = self.skipping_rows(db, "SELECT a FROM t WHERE a < 1500 LIMIT 3")
+        assert limited == [(-1,), (0,), (1,)]
+
+    def test_rolled_back_delete_keeps_order_under_skipping(self):
+        # Rollback re-inserts old rids at the heap tail, so heap order is
+        # no longer rid order; skipping must still not reorder rows.
+        db = self.build()
+        db.execute("BEGIN")
+        db.execute("DELETE FROM t WHERE a < 100")
+        db.execute("ROLLBACK")
+        rows = self.skipping_rows(db, "SELECT a FROM t WHERE a < 1500")
+        assert rows == [(a,) for a in range(-1, 1500)]
+        db.execute("UPDATE t SET b = 0 WHERE a > 2900")
+        assert db.execute("SELECT a FROM t WHERE b = 0 AND a > 2900").rows == [
+            (a,) for a in range(2901, 3000)
+        ]
+
+
 # -- observability ------------------------------------------------------------
 
 

@@ -585,6 +585,24 @@ class TestCoAccessStats:
         # Two rows touched the first page of each covering chain only.
         assert pool.stats.delta(before).reads == 2
 
+    def test_table_scan_columns_streams_lazily(self):
+        # The presentation-order tuple adapter keeps the same promise.
+        table = Table(
+            "t",
+            TableSchema.from_pairs([(f"c{i}", DBType.INTEGER) for i in range(4)]),
+            layout=LayoutPolicy.COLUMN,
+            page_capacity=8,
+        )
+        for i in range(64):
+            table.insert((i, i, i, i), emit=False)
+        table.checkpoint()
+        pool = table.store.pool
+        pool.drop_cache()
+        before = pool.stats.snapshot()
+        iterator = table.scan_columns(["c0", "c2"])
+        assert [next(iterator)[2] for _ in range(2)] == [(0, 0), (1, 1)]
+        assert pool.stats.delta(before).reads == 2
+
     def test_decay_prunes_dead_sets(self):
         stats = AccessStats()
         stats.record_scan(["a", "b"])

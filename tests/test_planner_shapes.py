@@ -87,10 +87,11 @@ class TestPushdown:
         joins = find_nodes(plan, HashJoin)
         assert joins
         join = joins[0]
-        # Both join inputs are scans carrying their pushed predicate —
-        # no FilterNode materialises full rows above them.
+        # Both join inputs are full-width (SELECT *) scans carrying their
+        # pushed predicate — no FilterNode materialises rows above them.
         assert isinstance(join.left, ProjectedScan) and join.left.predicates
         assert isinstance(join.right, ProjectedScan) and join.right.predicates
+        assert join.left.cols_read == join.right.cols_read == 2
         assert not find_nodes(plan, FilterNode)
 
     def test_pushdown_not_into_right_of_left_join(self, db_two_tables):
@@ -191,13 +192,6 @@ class TestColumnSets:
             "SELECT count(*) FROM a GROUP BY y HAVING max(x) > 1",
         )
         assert scan_of(plan, "a").column_names == ["x", "y"]
-
-    def test_pushdown_disabled_scans_full_width(self, db_two_tables):
-        planner = Planner(db_two_tables.catalog, projection_pushdown=False)
-        plan = planner.plan_select(parse_statement("SELECT x FROM a WHERE y > 3")).plan
-        assert scan_of(plan, "a").column_names == ["x", "y"]
-        # Predicates still absorb into the (full-width) scan.
-        assert scan_of(plan, "a").predicates
 
 
 class TestAccounting:

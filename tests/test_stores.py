@@ -6,11 +6,9 @@ here at page granularity — the core of experiment E6.
 
 import pytest
 
-from repro.engine.columnstore import ColumnStore
-from repro.engine.hybridstore import HybridStore
 from repro.engine.pager import BufferPool
-from repro.engine.rowstore import RowStore
 from repro.engine.schema import Column, TableSchema
+from repro.engine.store import GroupedTupleStore, LayoutPolicy
 from repro.engine.types import DBType
 from repro.errors import SchemaError, StorageError
 
@@ -27,9 +25,17 @@ def fill(store, n):
 
 
 STORES = [
-    pytest.param(lambda: RowStore(schema4(), page_capacity=8), id="row"),
-    pytest.param(lambda: ColumnStore(schema4(), page_capacity=8), id="column"),
-    pytest.param(lambda: HybridStore(schema4(group_size=2), page_capacity=8), id="hybrid"),
+    pytest.param(
+        lambda: GroupedTupleStore(schema4(), None, LayoutPolicy.ROW, 8), id="row"
+    ),
+    pytest.param(
+        lambda: GroupedTupleStore(schema4(), None, LayoutPolicy.COLUMN, 8),
+        id="column",
+    ),
+    pytest.param(
+        lambda: GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8),
+        id="hybrid",
+    ),
 ]
 
 
@@ -124,27 +130,27 @@ class TestLayoutCosts:
     """The E6 cost model at page granularity."""
 
     def test_row_store_add_column_rewrites_all_pages(self):
-        store = RowStore(schema4(), page_capacity=8)
+        store = GroupedTupleStore(schema4(), None, LayoutPolicy.ROW, 8)
         fill(store, 80)  # width 4, 8-value pages -> 2 rows/page -> 40 pages
         total_pages = store.n_pages
         rewritten = store.add_column(Column("e", default=0))
         assert rewritten == total_pages == 40
 
     def test_column_store_add_column_rewrites_nothing(self):
-        store = ColumnStore(schema4(), page_capacity=8)
+        store = GroupedTupleStore(schema4(), None, LayoutPolicy.COLUMN, 8)
         fill(store, 80)
         rewritten = store.add_column(Column("e", default=0))
         assert rewritten == 0
 
     def test_hybrid_add_column_new_group_rewrites_nothing(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         fill(store, 80)
         rewritten = store.add_column(Column("e", default=0))
         assert rewritten == 0
         assert store.schema.groups[-1] == ["e"]
 
     def test_hybrid_add_column_into_group_rewrites_one_group(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         fill(store, 80)  # width-2 groups, 4 rows/page -> 20 pages/group
         pages_before = store.pages_in_group(1)
         rewritten = store.add_column(Column("e", default=0), group_index=1)
@@ -152,12 +158,12 @@ class TestLayoutCosts:
         assert rewritten < store.n_pages  # strictly less than a full rewrite
 
     def test_row_store_drop_column_rewrites_all_pages(self):
-        store = RowStore(schema4(), page_capacity=8)
+        store = GroupedTupleStore(schema4(), None, LayoutPolicy.ROW, 8)
         fill(store, 80)
         assert store.drop_column("b") == 40  # every page of the sole group
 
     def test_column_store_drop_column_frees_chain(self):
-        store = ColumnStore(schema4(), page_capacity=8)
+        store = GroupedTupleStore(schema4(), None, LayoutPolicy.COLUMN, 8)
         fill(store, 80)
         frees_before = store.pool.stats.frees
         assert store.drop_column("b") == 0
@@ -167,8 +173,8 @@ class TestLayoutCosts:
         """The block-budget model: a fresh single-column chain packs
         page_capacity records per block, so ADD COLUMN via a new group
         writes ~width× fewer blocks than the row store's full rewrite."""
-        row_store = RowStore(schema4(), page_capacity=8)
-        hybrid = HybridStore(schema4(group_size=2), page_capacity=8)
+        row_store = GroupedTupleStore(schema4(), None, LayoutPolicy.ROW, 8)
+        hybrid = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         fill(row_store, 80)
         fill(hybrid, 80)
         row_store.checkpoint()
@@ -186,7 +192,7 @@ class TestLayoutCosts:
         assert hybrid_blocks * 4 == row_blocks
 
     def test_hybrid_drop_sole_member_rewrites_nothing(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         fill(store, 40)
         store.add_column(Column("e", default=1))  # own group
         assert store.drop_column("e") == 0
@@ -195,7 +201,7 @@ class TestLayoutCosts:
     def test_single_column_update_touches_one_group(self):
         """Tuple-update parity: updating one column in the hybrid layout
         dirties only that column's group chain."""
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         rids = fill(store, 16)
         store.checkpoint()
         before = store.pool.stats.writes
@@ -205,8 +211,8 @@ class TestLayoutCosts:
 
     def test_row_insert_cost_scales_with_groups(self):
         """An insert touches one page per group: the hybrid trade-off."""
-        row_store = RowStore(schema4(), page_capacity=8)
-        column_store = ColumnStore(schema4(), page_capacity=8)
+        row_store = GroupedTupleStore(schema4(), None, LayoutPolicy.ROW, 8)
+        column_store = GroupedTupleStore(schema4(), None, LayoutPolicy.COLUMN, 8)
         fill(row_store, 8)
         fill(column_store, 8)
         row_store.checkpoint()
@@ -223,7 +229,7 @@ class TestLayoutCosts:
 
 class TestHybridCompaction:
     def test_compact_groups_repartitions(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         rids = fill(store, 20)
         store.add_column(Column("e", default=5))
         store.compact_groups([["a", "b", "c", "d", "e"]])
@@ -233,7 +239,7 @@ class TestHybridCompaction:
         store.validate()
 
     def test_compact_rejects_wrong_cover(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         fill(store, 4)
         with pytest.raises(SchemaError):
             store.compact_groups([["a", "b"]])
@@ -243,7 +249,7 @@ class TestHybridCompaction:
         rebuilding, so a failure mid-rebuild corrupted the store.  With
         build-then-swap-then-free, an injected crash at any allocation
         leaves data, layout and directory exactly as they were."""
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         rids = fill(store, 20)
         before_rows = [store.read_row(rid) for rid in rids]
         before_groups = store.schema.groups
@@ -280,7 +286,7 @@ class TestHybridCompaction:
         store.validate()
 
     def test_group_summary(self):
-        store = HybridStore(schema4(group_size=2), page_capacity=8)
+        store = GroupedTupleStore(schema4(group_size=2), None, LayoutPolicy.HYBRID, 8)
         fill(store, 20)
         summary = store.group_summary()
         assert len(summary) == 2
@@ -291,8 +297,8 @@ class TestHybridCompaction:
 class TestSharedPool:
     def test_two_stores_share_io_accounting(self):
         pool = BufferPool(page_capacity=8)
-        first = RowStore(schema4(), pool=pool)
-        second = RowStore(schema4(), pool=pool)
+        first = GroupedTupleStore(schema4(), pool, LayoutPolicy.ROW)
+        second = GroupedTupleStore(schema4(), pool, LayoutPolicy.ROW)
         fill(first, 8)
         fill(second, 8)
         assert pool.disk.stats.allocations >= 2

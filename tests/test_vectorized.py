@@ -1,12 +1,13 @@
 """Vectorized batch execution over compressed column fragments.
 
-Coverage for the batched-executor tentpole: codec round-trips with exact
-types, vectorized-vs-tuple path equivalence (rows, order, AccessStats
-charges) under hypothesis-generated schemas and encodings, encodings
+Coverage for the batched executor: codec round-trips with exact types,
+batch-compiled predicates agreeing with the row-closure fallback (rows
+and order) under hypothesis-generated schemas and encodings, encodings
 surviving snapshot + WAL crash recovery, DML riding the narrow batched
-predicate scan (strictly fewer page reads than the full-row path, trace
-counters for both WHERE shapes), and the bytes-decoded feedback surfaced
-through per-group tag stats and the CLI ``layout-stats`` report.
+predicate scan (strictly fewer page reads than reading every column's
+chain, trace counters for every WHERE shape), and the bytes-decoded
+feedback surfaced through per-group tag stats and the CLI
+``layout-stats`` report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from hypothesis import strategies as st
 
 from repro.engine import encoding
 from repro.engine.database import Database
+from repro.engine.executor import ProjectedScan
+from repro.engine.planner import Planner
 from repro.engine.schema import TableSchema
+from repro.engine.sql_parser import parse_statement
 from repro.engine.store import DEFAULT_BATCH_SIZE, LayoutPolicy
 from repro.engine.types import DBType
 from repro.server.service import WorkbookService
@@ -68,7 +72,7 @@ class TestCodecs:
         assert size >= encoding.plain_size(100)
 
 
-# -- vectorized vs tuple path equivalence ------------------------------------
+# -- batch-compiled predicates vs the row-closure fallback --------------------
 
 
 COLUMN_TYPES = {
@@ -107,30 +111,44 @@ def table_cases(draw):
     return types, rows, encode, where, params
 
 
-def build_pair(types, rows, encode):
-    """Two databases with identical contents; the second runs the
-    retained tuple-at-a-time path."""
-    pair = []
-    for vectorized in (True, False):
-        db = Database(vectorized=vectorized, auto_layout_interval=0)
-        columns = ", ".join(f"c{i} {t}" for i, t in enumerate(types))
-        db.execute(f"CREATE TABLE t ({columns})")
-        table = db.table("t")
-        for row in rows:
-            table.insert(row, emit=False)
-        if encode and rows:
-            for group in range(table.store.n_groups):
-                table.store.encode_group(group)
-        table.store.access_stats.reset()
-        pair.append(db)
-    return pair
+def build_db(types, rows, encode):
+    """One table ``t`` holding ``rows``, its chains optionally encoded."""
+    db = Database(auto_layout_interval=0)
+    columns = ", ".join(f"c{i} {t}" for i, t in enumerate(types))
+    db.execute(f"CREATE TABLE t ({columns})")
+    table = db.table("t")
+    for row in rows:
+        table.insert(row, emit=False)
+    if encode and rows:
+        for group in range(table.store.n_groups):
+            table.store.encode_group(group)
+    return db
+
+
+def _plan_nodes(node):
+    yield node
+    for child in node.children():
+        yield from _plan_nodes(child)
+
+
+def row_fallback_rows(db, sql, params=()):
+    """``sql``'s rows with every pushed conjunct evaluated by its row
+    closure: the planned scans lose their conjunct ASTs, so nothing
+    batch-compiles and zone maps skip nothing — the executor's retained
+    fallback path over the same store."""
+    planned = Planner(db.catalog).plan_select(parse_statement(sql))
+    for node in _plan_nodes(planned.plan):
+        if isinstance(node, ProjectedScan):
+            node.predicates = [(fn, text, None) for fn, text, _ in node.predicates]
+            node.data_skipping = False
+    return planned.execute(params)
 
 
 @given(table_cases())
 @settings(max_examples=40, deadline=None)
 def test_paths_agree_on_rows_order_and_stats(case):
     types, rows, encode, where, params = case
-    vector_db, tuple_db = build_pair(types, rows, encode)
+    db = build_db(types, rows, encode)
     probes = [
         ("SELECT * FROM t", []),
         ("SELECT c0 FROM t", []),
@@ -138,27 +156,22 @@ def test_paths_agree_on_rows_order_and_stats(case):
         ("SELECT COUNT(*) FROM t", []),
     ]
     for sql, sql_params in probes:
-        expected = tuple_db.execute(sql, sql_params)
-        actual = vector_db.execute(sql, sql_params)
-        assert actual.rows == expected.rows, sql
-        assert actual.columns == expected.columns
-    # Both paths must charge the advisor's workload window identically —
-    # the layout feedback loop cannot depend on the executor mode.
-    assert (
-        vector_db.table("t").store.access_stats.to_dict()
-        == tuple_db.table("t").store.access_stats.to_dict()
-    )
+        expected = row_fallback_rows(db, sql, sql_params)
+        actual = db.execute(sql, sql_params)
+        assert actual.rows == expected, sql
+    # Unfiltered scans come back in insertion (presentation) order.
+    assert db.execute("SELECT * FROM t").rows == [tuple(row) for row in rows]
 
 
 def test_row_fallback_predicates_agree():
     # LIKE does not batch-compile: the bitmap path must fall back to the
-    # per-row closure for it and still agree with the tuple path.
-    vector_db, tuple_db = build_pair(["TEXT", "INT"], [], encode=False)
-    for db in (vector_db, tuple_db):
-        for i in range(50):
-            db.execute("INSERT INTO t VALUES (?, ?)", [f"tag{i % 4}", i])
+    # per-row closure for it and still agree with the all-row-closure run.
+    db = build_db(["TEXT", "INT"], [], encode=False)
+    for i in range(50):
+        db.execute("INSERT INTO t VALUES (?, ?)", [f"tag{i % 4}", i])
     sql = "SELECT c1 FROM t WHERE c0 LIKE 'tag1%' AND c1 < 30"
-    assert vector_db.execute(sql).rows == tuple_db.execute(sql).rows
+    expected = [(i,) for i in range(30) if i % 4 == 1]
+    assert db.execute(sql).rows == row_fallback_rows(db, sql) == expected
 
 
 def test_batches_respect_batch_size():
@@ -268,9 +281,11 @@ def test_encodings_survive_snapshot_and_wal_recovery(tmp_path):
 # -- DML on the narrow batched predicate scan --------------------------------
 
 
-def build_dml_db(vectorized: bool) -> Database:
+DML_ROWS = [tuple((i * 7 + j) % 1000 for j in range(8)) for i in range(400)]
+
+
+def build_dml_db() -> Database:
     db = Database(
-        vectorized=vectorized,
         page_capacity=16,
         buffer_frames=8,
         auto_layout_interval=0,
@@ -280,8 +295,8 @@ def build_dml_db(vectorized: bool) -> Database:
     )
     db.create_table("t", schema, layout=LayoutPolicy.COLUMN)
     table = db.table("t")
-    for i in range(400):
-        table.insert(tuple((i * 7 + j) % 1000 for j in range(8)), emit=False)
+    for row in DML_ROWS:
+        table.insert(row, emit=False)
     db.checkpoint()
     db.catalog.pool.drop_cache()
     db.reset_io_stats()
@@ -302,19 +317,23 @@ def dml_page_reads(db: Database, sql: str) -> int:
     ],
 )
 def test_dml_where_reads_fewer_pages_than_full_row_path(sql):
-    narrow = dml_page_reads(build_dml_db(vectorized=True), sql)
-    full = dml_page_reads(build_dml_db(vectorized=False), sql)
+    # The full-row reference reads every page of every column's chain —
+    # what a DML scan that materialises whole rows costs.
+    narrow = dml_page_reads(build_dml_db(), sql)
+    full = dml_page_reads(build_dml_db(), "SELECT * FROM t")
     assert narrow < full, f"{sql!r}: narrow={narrow} full={full}"
-    # Same logical outcome either way.
-    probe = "SELECT COUNT(*), SUM(c7) FROM t"
-    fast, slow = build_dml_db(True), build_dml_db(False)
-    fast.execute(sql)
-    slow.execute(sql)
-    assert fast.execute(probe).rows == slow.execute(probe).rows
+    # The statement touched exactly the rows with c0 = 7.
+    db = build_dml_db()
+    db.execute(sql)
+    if sql.startswith("UPDATE"):
+        expected = [row[:7] + (-1,) if row[0] == 7 else row for row in DML_ROWS]
+    else:
+        expected = [row for row in DML_ROWS if row[0] != 7]
+    assert db.execute("SELECT * FROM t").rows == expected
 
 
 def test_dml_where_scans_only_referenced_columns():
-    db = build_dml_db(vectorized=True)
+    db = build_dml_db()
     _, trace = db.trace_statement("UPDATE t SET c7 = 0 WHERE c0 < 35")
     scan = _find_prefix(trace, "DmlScan")
     assert scan is not None
@@ -332,11 +351,14 @@ def test_dml_where_scans_only_referenced_columns():
 
 def test_dml_without_where_short_circuits_predicate_path():
     for sql, remaining in [("UPDATE t SET c7 = 0", 400), ("DELETE FROM t", 0)]:
-        db = build_dml_db(vectorized=True)
+        db = build_dml_db()
         result, trace = db.trace_statement(sql)
-        # No predicate scan at all: every row is a target, so no DmlScan
-        # span exists and the rowcount covers the whole table.
-        assert _find_prefix(trace, "DmlScan") is None
+        # No predicate runs: every row is a target, read whole off the one
+        # DML scan loop, and the rowcount covers the whole table.
+        scan = _find_prefix(trace, "DmlScan")
+        assert scan is not None
+        assert scan.counters["cols_read"] == 8
+        assert scan.counters["rows_scanned"] == scan.counters["rows_matched"] == 400
         assert result.rowcount == 400
         assert db.execute("SELECT COUNT(*) FROM t").rows[0][0] == remaining
 

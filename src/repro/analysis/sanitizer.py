@@ -12,6 +12,10 @@ What it asserts (each check is cheap relative to the operation it rides):
   hold no plain records; one means a frozen group was mutated without
   ``_thaw_page``.  Checked on every buffer-pool fetch and write-back, so
   the corruption surfaces at the next page touch.
+* **immutable plain records** — every plain record must be an
+  ``(int, tuple)`` pair, because disk snapshots share records with
+  pooled pages instead of copying them.  Checked on every disk read and
+  write-back.
 * **batch rid lockstep** — every column fragment of an emitted batch must
   be exactly as long as its rid list, rids unique; covering chains that
   disagree on rid order raise instead of silently degrading to per-rid
@@ -41,7 +45,7 @@ class NullSanitizer:
     enabled = False
 
     def check_page(self, page: Any) -> None:
-        """Encoded-page freshness (pager fetch/write-back)."""
+        """Encoded-page freshness and plain-record shape (pager fetch/write-back)."""
 
     def check_batch(self, rids: Sequence[int], columns: Sequence[Any]) -> None:
         """rid-alignment of one emitted batch."""
@@ -93,6 +97,19 @@ class Sanitizer(NullSanitizer):
         self.checks += 1
         enc = page.header.get("enc")
         if enc is None:
+            # Disk snapshots share records with pooled pages, which is only
+            # safe while every record is an immutable (rid, tuple) pair.
+            for record in page.records:
+                if not (
+                    type(record) is tuple
+                    and len(record) == 2
+                    and isinstance(record[0], int)
+                    and isinstance(record[1], tuple)
+                ):
+                    self._fail(
+                        f"page {page.page_id} holds record {record!r}, not an "
+                        "immutable (rid, tuple) pair"
+                    )
             return
         if page.records:
             self._fail(

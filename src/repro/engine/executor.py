@@ -15,6 +15,7 @@ distinct, sort, limit/offset.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -24,7 +25,7 @@ from repro.engine.expr import Scope, compile_batch_predicate, extract_sargable_r
 from repro.engine.functions import Aggregator, make_aggregate
 from repro.engine.store import DEFAULT_BATCH_SIZE
 from repro.engine.table import Table, TableIndex
-from repro.engine.types import compare_values
+from repro.engine.types import sort_key
 from repro.errors import ExecutionError
 
 __all__ = [
@@ -203,6 +204,22 @@ class ProjectedScan(PlanNode):
             f"ProjectedScan({self.table.name} as {self.binding}, "
             f"cols=[{', '.join(self.column_names)}]{suffix})"
         )
+
+    def count_rows(self) -> Optional[int]:
+        """Row count of a zero-column scan with no pushed predicate (a
+        bare ``COUNT(*)``): the store's row count under its mutation lock,
+        the length of the order such a scan would freeze.  The counters
+        report the rows and batches that scan would have produced.
+        ``None`` for any other scan."""
+        if self.column_names or self.predicates:
+            return None
+        self._io_before = self.table.store.covering_io_snapshot(())
+        with self.table.store.mutation_lock:
+            counted = self.table.store.n_rows
+        self.rows_scanned += counted
+        self.rows_out += counted
+        self.batches += -(-counted // self.batch_size)
+        return counted
 
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
         """Batched execution: selection vectors over column fragments,
@@ -622,7 +639,22 @@ class AggregateNode(PlanNode):
     def label(self) -> str:
         return f"Aggregate({len(self.group_fns)} keys, {len(self.aggregates)} aggs)"
 
+    def _bare_count(self) -> Optional[int]:
+        """The answer of ``SELECT COUNT(*), ... FROM t`` without WHERE or
+        GROUP BY, read off the scan in O(1); None otherwise."""
+        if self.has_group_by or not isinstance(self.child, ProjectedScan):
+            return None
+        if not all(
+            spec.argument is None and not spec.distinct and spec.name.lower() == "count"
+            for spec in self.aggregates
+        ):
+            return None
+        return self.child.count_rows()
+
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
+        counted = self._bare_count()
+        if counted is not None:
+            return self._count(iter([(counted,) * len(self.aggregates)]))
         groups: Dict[Tuple[Any, ...], Tuple[Tuple[Any, ...], List[Aggregator]]] = {}
         order: List[Tuple[Any, ...]] = []
         for row in self.child.run(ctx):
@@ -712,48 +744,100 @@ class DistinctNode(PlanNode):
         return self._count(rows())
 
 
+class _Descending:
+    """One key of a mixed-direction sort, compared in reverse."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any):
+        self.key = key
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: "_Descending") -> bool:  # type: ignore[override]
+        return self.key == other.key
+
+
+def _limit_bounds(
+    limit: Optional[RowFn], offset: Optional[RowFn], ctx: ExecContext
+) -> Tuple[int, Optional[int]]:
+    """``(skip, take)`` of a LIMIT/OFFSET pair (``take`` None = no LIMIT);
+    a negative bound raises."""
+    skip = 0
+    if offset is not None:
+        skip = int(offset((), ctx.params) or 0)
+        if skip < 0:
+            raise ExecutionError("OFFSET must be non-negative")
+    take: Optional[int] = None
+    if limit is not None:
+        take = int(limit((), ctx.params))
+        if take < 0:
+            raise ExecutionError("LIMIT must be non-negative")
+    return skip, take
+
+
 class SortNode(PlanNode):
     """Multi-key sort with SQL NULL placement (NULLs first ascending,
-    last descending — sqlite's convention)."""
+    last descending — sqlite's convention), stable on ties, keyed by
+    :func:`repro.engine.types.sort_key`.  Given the statement's LIMIT (and
+    OFFSET) it keeps only the first ``offset + limit`` rows, by ``heapq``
+    — the full sort's prefix, ties included; the :class:`LimitNode`
+    above still applies both."""
 
-    def __init__(self, child: PlanNode, keys: Sequence[Tuple[RowFn, bool]]):
+    def __init__(
+        self,
+        child: PlanNode,
+        keys: Sequence[Tuple[RowFn, bool]],
+        limit: Optional[RowFn] = None,
+        offset: Optional[RowFn] = None,
+    ):
         super().__init__(child.columns)
         self.child = child
         self.keys = list(keys)
+        self.limit = limit
+        self.offset = offset
+        self.top: Optional[int] = None  # rows kept, once run under a LIMIT
 
     def children(self) -> List[PlanNode]:
         return [self.child]
 
     def label(self) -> str:
-        return f"Sort({len(self.keys)} keys)"
+        if self.limit is None:
+            return f"Sort({len(self.keys)} keys)"
+        top = "?" if self.top is None else self.top
+        return f"Sort({len(self.keys)} keys, top={top})"
 
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
-        import functools
+        params = ctx.params
+        keys = self.keys
+        directions = {descending for _, descending in keys}
+        reverse = directions == {True}
 
-        materialised = list(self.child.run(ctx))
-        decorated = [
-            (tuple(fn(row, ctx.params) for fn, _ in self.keys), row)
-            for row in materialised
-        ]
-        directions = [descending for _, descending in self.keys]
+        if len(directions) == 1:
 
-        def compare(a, b) -> int:
-            for index, descending in enumerate(directions):
-                left, right = a[0][index], b[0][index]
-                if left is None and right is None:
-                    continue
-                if left is None:
-                    outcome = -1
-                elif right is None:
-                    outcome = 1
-                else:
-                    outcome = compare_values(left, right) or 0
-                if outcome:
-                    return -outcome if descending else outcome
-            return 0
+            def key(row: Tuple[Any, ...]) -> List[Any]:
+                return [sort_key(fn(row, params)) for fn, _ in keys]
 
-        decorated.sort(key=functools.cmp_to_key(compare))
-        return self._count(row for _, row in decorated)
+        else:
+
+            def key(row: Tuple[Any, ...]) -> List[Any]:
+                return [
+                    _Descending(sort_key(fn(row, params)))
+                    if descending
+                    else sort_key(fn(row, params))
+                    for fn, descending in keys
+                ]
+
+        rows = list(self.child.run(ctx))
+        if self.limit is None:
+            rows.sort(key=key, reverse=reverse)
+        else:
+            skip, take = _limit_bounds(self.limit, self.offset, ctx)
+            self.top = skip + take
+            pick = heapq.nlargest if reverse else heapq.nsmallest
+            rows = pick(self.top, rows, key=key)
+        return self._count(iter(rows))
 
 
 class LimitNode(PlanNode):
@@ -772,17 +856,7 @@ class LimitNode(PlanNode):
         return [self.child]
 
     def run(self, ctx: ExecContext) -> Iterator[Tuple[Any, ...]]:
-        empty_row: Tuple[Any, ...] = ()
-        skip = 0
-        if self.offset is not None:
-            skip = int(self.offset(empty_row, ctx.params) or 0)
-            if skip < 0:
-                raise ExecutionError("OFFSET must be non-negative")
-        take: Optional[int] = None
-        if self.limit is not None:
-            take = int(self.limit(empty_row, ctx.params))
-            if take < 0:
-                raise ExecutionError("LIMIT must be non-negative")
+        skip, take = _limit_bounds(self.limit, self.offset, ctx)
 
         def rows() -> Iterator[Tuple[Any, ...]]:
             produced = 0

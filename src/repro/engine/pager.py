@@ -3,20 +3,23 @@
 The paper's storage-manager claims are about *disk blocks touched* ("with an
 insight to reduce the disk blocks to update during a schema change", §3).
 To reproduce those claims on a laptop we simulate a disk: a
-:class:`DiskManager` holds immutable page snapshots and counts every read,
-write and allocation; a :class:`BufferPool` sits in front with an LRU of
-mutable :class:`Page` objects.  Benchmarks (E6, E8) read the counters off
+:class:`DiskManager` holds page snapshots and counts every read, write and
+allocation; a :class:`BufferPool` sits in front with an LRU of mutable
+:class:`Page` objects.  Benchmarks (E6, E8) read the counters off
 :class:`IOStats` rather than wall-clock alone, which makes the *shape* of the
 paper's claims measurable deterministically.
 
 A page stores an ordered list of Python-tuple records plus a small header
 dict.  ``page_capacity`` bounds the number of records per page, standing in
 for the byte budget of a real 8 KB block.
+
+Snapshots copy the record list and header dict, not their contents: a
+record is an immutable ``(rid, fragment_tuple)`` pair, and a header value
+(the ``enc`` payload) is replaced or popped, never mutated in place.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -135,9 +138,10 @@ class Page:
 class DiskManager:
     """The simulated disk: page id → frozen snapshot.
 
-    Snapshots are deep copies so that buffer-pool mutations cannot leak to
-    "disk" without an explicit write — exactly the property that makes the
-    write counters trustworthy.
+    A snapshot owns its record list and header dict, so changing a pooled
+    page cannot leak to "disk" without an explicit write — exactly the
+    property that makes the write counters trustworthy.  The records are
+    shared, immutable by contract (checked under ``REPRO_SANITIZE=1``).
     """
 
     def __init__(self) -> None:
@@ -249,12 +253,12 @@ class DiskManager:
             self.stats.reads += 1
             self._bump(page_id, "reads")
         # Stored snapshots are never mutated in place (writes replace the
-        # tuple wholesale), so the copy can happen outside the lock.
-        return Page(page_id, copy.deepcopy(records), copy.deepcopy(header))
+        # pair wholesale), so the copy can happen outside the lock.
+        return Page(page_id, list(records), dict(header))
 
     def write(self, page: Page) -> None:
-        records = copy.deepcopy(page.records)
-        header = copy.deepcopy(page.header)
+        records = list(page.records)
+        header = dict(page.header)
         with self._lock:
             if page.page_id not in self._pages:
                 raise StorageError(f"write to unallocated page {page.page_id}")
@@ -274,9 +278,6 @@ class DiskManager:
     @property
     def n_pages(self) -> int:
         return len(self._pages)
-
-    def page_ids(self) -> List[int]:
-        return sorted(self._pages)
 
 
 class BufferPool:
@@ -332,7 +333,8 @@ class BufferPool:
                 return frame
             self.misses += 1
             page = self.disk.read(page_id)
-            if self.sanitizer.enabled and "enc" in page.header:
+            # The page shares its records with the disk: check every miss.
+            if self.sanitizer.enabled:
                 self.sanitizer.check_page(page)
             self._admit(page)
             return page

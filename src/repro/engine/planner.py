@@ -598,6 +598,14 @@ class Planner:
         if stmt.distinct:
             node = DistinctNode(node)
 
+        empty_scope = Scope([])
+        limit_fn = (
+            self._compile(stmt.limit, empty_scope) if stmt.limit is not None else None
+        )
+        offset_fn = (
+            self._compile(stmt.offset, empty_scope) if stmt.offset is not None else None
+        )
+
         # -- ORDER BY ------------------------------------------------------------
         if stmt.order_by:
             keys = []
@@ -648,7 +656,8 @@ class Planner:
                     output_fns + hidden_fns,
                     output_columns + hidden_columns,
                 )
-            node = SortNode(node, keys)
+            # The sort keeps only the rows LIMIT/OFFSET can return.
+            node = SortNode(node, keys, limit_fn, offset_fn)
             if hidden_fns:
                 strip = [
                     (lambda i: (lambda row, params: row[i]))(i)
@@ -658,13 +667,6 @@ class Planner:
 
         # -- LIMIT/OFFSET ------------------------------------------------------------
         if stmt.limit is not None or stmt.offset is not None:
-            empty_scope = Scope([])
-            limit_fn = (
-                self._compile(stmt.limit, empty_scope) if stmt.limit is not None else None
-            )
-            offset_fn = (
-                self._compile(stmt.offset, empty_scope) if stmt.offset is not None else None
-            )
             node = LimitNode(node, limit_fn, offset_fn)
 
         return PlannedQuery(node, [name for _, name in output_columns])

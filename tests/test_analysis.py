@@ -24,6 +24,7 @@ from repro.analysis import (
 )
 from repro.analysis.__main__ import main as analysis_main
 from repro.engine.database import Database
+from repro.engine.pager import BufferPool
 from repro.engine.schema import TableSchema
 from repro.engine.store import GroupedTupleStore, LayoutPolicy
 from repro.engine.types import DBType
@@ -568,6 +569,33 @@ class TestSanitizer:
         page = store.pool.get(store._chains[0][0])
         page.records.append((999, [999]))
         store.pool.get(store._chains[0][0])  # tolerated silently
+
+    def test_mutable_plain_record_raises(self):
+        # Disk snapshots share records with pooled pages; a list fragment
+        # could be edited in place behind the disk's back.
+        store = make_store(sanitize=True)
+        page = store.pool.get(store._chains[0][0])
+        assert "enc" not in page.header
+        rid, fragment = page.records[0]
+        page.records[0] = (rid, list(fragment))
+        page.mark_dirty()
+        with pytest.raises(SanitizerError, match="immutable"):
+            store.pool.flush(page.page_id)
+        with pytest.raises(SanitizerError, match="immutable"):
+            Sanitizer().check_page(page)
+        page.records[0] = (rid, fragment)
+        Sanitizer().check_page(page)  # the restored page is clean
+
+    def test_mutable_record_on_disk_raises_at_fetch(self):
+        pool = BufferPool(capacity=1)
+        pool.sanitizer = Sanitizer()
+        page = pool.new_page()
+        page.records.append((0, ["list", "fragment"]))
+        pool.disk.write(page)  # bypasses the pool's write-back check
+        page.dirty = False
+        pool.new_page()  # evicts the clean copy without a write-back
+        with pytest.raises(SanitizerError, match="immutable"):
+            pool.get(page.page_id)
 
     def test_rid_lockstep_violation_raises(self):
         store = make_store(sanitize=True)

@@ -5,13 +5,19 @@ zone-map boundaries.  A random mix of ``AT POSITION`` inserts,
 DELETE/UPDATE by scan, by primary key and by secondary index, ``CREATE
 INDEX``, a rolled-back delete (old rids return at the heap tail) and
 forced page encodings runs against the engine and stdlib ``sqlite3``.
-Then:
+Then, through an unbounded pool:
 
 * every query's result multiset matches sqlite's, for WHEREs that zone
   maps can skip on and ones they cannot,
 * every filtered query returns its rows in presentation order — the
   unfiltered ``SELECT *`` filtered in Python by the same predicate — and
   ``LIMIT`` without ``ORDER BY`` returns that list's prefix.
+
+And through a pool of a few frames, so every scan reads and writes back
+pages through the simulated disk: ``ORDER BY`` with and without
+``LIMIT``/``OFFSET`` (single and multi-key, ASC/DESC, NULLs) returns
+sqlite's exact sequence, and ``GROUP BY`` with COUNT/SUM/AVG/MIN/MAX
+returns sqlite's multiset.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import Database
 from repro.baselines.sqlite_backend import SqliteComparator
 
 TAGS = ["x", "y", "u"]
@@ -111,6 +118,31 @@ def run_op(comparator: SqliteComparator, op, next_key: int) -> None:
         db.execute("ROLLBACK")
 
 
+def populate(comparator: SqliteComparator, n_rows: int, group_size, ops) -> None:
+    """Create and load ``t`` in both engines, then run ``ops`` on both."""
+    db, sqlite = comparator.database, comparator.connection
+    db.execute("CREATE TABLE t (k INT PRIMARY KEY, a INT, b INT, c TEXT)")
+    sqlite.execute(
+        "CREATE TABLE t (k INTEGER PRIMARY KEY, a INTEGER, b INTEGER, c TEXT)"
+    )
+    table = db.table("t")
+    if group_size is not None:
+        names = table.column_names
+        table.store.restructure(
+            [names[i : i + group_size] for i in range(0, len(names), group_size)]
+        )
+    rows = [row_for(k) for k in range(n_rows)]
+    for row in rows:
+        table.insert(row, emit=False)
+    sqlite.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
+    next_key = n_rows
+    for op in ops:
+        run_op(comparator, op, next_key)
+        next_key += 1
+    sqlite.commit()
+    table.validate()
+
+
 @given(
     n_rows=n_rows_strategy,
     group_size=st.sampled_from([None, 1, 2]),
@@ -144,28 +176,8 @@ def test_scans_and_dml_agree_with_sqlite_at_boundary_scale(
 ):
     comparator = SqliteComparator()
     try:
-        db, sqlite = comparator.database, comparator.connection
-        db.execute("CREATE TABLE t (k INT PRIMARY KEY, a INT, b INT, c TEXT)")
-        sqlite.execute(
-            "CREATE TABLE t (k INTEGER PRIMARY KEY, a INTEGER, b INTEGER, c TEXT)"
-        )
-        table = db.table("t")
-        if group_size is not None:
-            names = table.column_names
-            table.store.restructure(
-                [names[i : i + group_size] for i in range(0, len(names), group_size)]
-            )
-        rows = [row_for(k) for k in range(n_rows)]
-        for row in rows:
-            table.insert(row, emit=False)
-        sqlite.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
-        next_key = n_rows
-        for op in ops:
-            run_op(comparator, op, next_key)
-            next_key += 1
-        sqlite.commit()
-        table.validate()
-
+        populate(comparator, n_rows, group_size, ops)
+        db = comparator.database
         full = db.execute("SELECT * FROM t").rows
         comparator.assert_match("SELECT * FROM t")
         comparator.assert_match("SELECT count(*) FROM t")
@@ -178,5 +190,74 @@ def test_scans_and_dml_agree_with_sqlite_at_boundary_scale(
             assert narrow == [(row[0],) for row in expected], where
             limited = db.execute(f"SELECT * FROM t WHERE {where} LIMIT {limit}").rows
             assert limited == expected[:limit], where
+    finally:
+        comparator.close()
+
+
+# ORDER BY keys either end in the unique ``k`` or are the whole select
+# list, so sqlite's answer is one exact sequence despite ties and NULLs.
+ORDERED = [
+    "SELECT k, b FROM t ORDER BY b, k",
+    "SELECT k, b FROM t ORDER BY b DESC, k DESC",
+    "SELECT b, a FROM t ORDER BY b DESC, a",
+    "SELECT c, a FROM t ORDER BY c DESC, a",
+    "SELECT a FROM t ORDER BY a DESC",
+    "SELECT k FROM t ORDER BY a DESC, b, k DESC",
+    "SELECT k, c FROM t ORDER BY b + 0, k",
+]
+
+GROUPED = [
+    "SELECT a % 5, COUNT(*), COUNT(b), SUM(b), AVG(b), MIN(b), MAX(b) "
+    "FROM t GROUP BY a % 5",
+    "SELECT c, COUNT(*), SUM(a), AVG(a), MIN(k), MAX(b) FROM t GROUP BY c",
+    "SELECT c, a % 3, COUNT(*), MIN(c), MAX(c), AVG(b) FROM t "
+    "WHERE b >= {low} GROUP BY c, a % 3",
+    "SELECT COUNT(*), SUM(b), AVG(b), MIN(b), MAX(b) FROM t",
+    "SELECT COUNT(*) FROM t",
+]
+
+#: Frames in the small pool: far fewer than the table's pages, so every
+#: scan goes through the simulated disk's reads and write-backs.
+SMALL_POOL = 6
+
+
+@given(
+    n_rows=n_rows_strategy,
+    group_size=st.sampled_from([None, 1, 2]),
+    ops=st.lists(op_strategy, max_size=4),
+    low=st.integers(0, 3000),
+    limit=st.integers(0, 40),
+    offset=st.integers(0, 3000),
+)
+@example(
+    n_rows=1500,
+    group_size=None,
+    ops=[("update_index", 3), ("insert_at", 0.5, 7), ("encode", 0)],
+    low=300,
+    limit=10,
+    offset=1490,
+)
+@settings(max_examples=10, deadline=None)
+def test_order_by_limit_and_group_by_agree_with_sqlite_through_a_small_pool(
+    n_rows, group_size, ops, low, limit, offset
+):
+    comparator = SqliteComparator()
+    db = comparator.database = Database(page_capacity=32, buffer_frames=SMALL_POOL)
+    try:
+        populate(comparator, n_rows, group_size, ops)
+        reads = db.catalog.pool.stats.reads
+        for sql in ORDERED:
+            for suffix in ("", f" LIMIT {limit}", f" LIMIT {limit} OFFSET {offset}"):
+                ok, ours, theirs = comparator.ordered_match(sql + suffix)
+                assert ok, (sql + suffix, ours[:5], theirs[:5])
+        for sql in GROUPED:
+            comparator.assert_match(sql.format(low=low))
+        ok, ours, theirs = comparator.ordered_match(
+            "SELECT c, COUNT(*), MAX(b) FROM t GROUP BY c "
+            f"ORDER BY COUNT(*) DESC, c LIMIT {limit}"
+        )
+        assert ok, (ours, theirs)
+        if db.table("t").store.n_pages > SMALL_POOL:
+            assert db.catalog.pool.stats.reads > reads
     finally:
         comparator.close()

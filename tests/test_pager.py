@@ -24,6 +24,47 @@ class TestDiskManager:
         # Not written back: disk must still be empty.
         assert disk.read(page_id).records == []
 
+    @pytest.mark.parametrize("change", ["append", "replace", "delete", "header"])
+    def test_read_page_changes_stay_off_disk_until_written(self, change):
+        disk = DiskManager()
+        page_id = disk.allocate()
+        page = disk.read(page_id)
+        page.records.extend([(1, ("a",)), (2, ("b",))])
+        page.header["next"] = 7
+        disk.write(page)
+        page = disk.read(page_id)
+        if change == "append":
+            page.records.append((3, ("c",)))
+        elif change == "replace":
+            page.records[0] = (1, ("z",))
+        elif change == "delete":
+            del page.records[1]
+        else:
+            page.header["next"] = 8
+            page.header["enc"] = {"rids": []}
+        stored = disk.read(page_id)
+        assert stored.records == [(1, ("a",)), (2, ("b",))]
+        assert stored.header == {"next": 7}
+        disk.write(page)
+        assert disk.read(page_id).records == page.records
+        assert disk.read(page_id).header == page.header
+
+    def test_pool_changes_after_write_back_leave_the_snapshot_alone(self):
+        pool = BufferPool()
+        page = pool.new_page()
+        page.records.append((0, ("kept",)))
+        page.header["next"] = 1
+        pool.flush(page.page_id)
+        page.records.append((1, ("later",)))
+        page.records[0] = (0, ("changed",))
+        page.header["next"] = 2
+        page.mark_dirty()
+        reads = pool.disk.stats.reads
+        stored = pool.disk.read(page.page_id)
+        assert stored.records == [(0, ("kept",))]
+        assert stored.header == {"next": 1}
+        assert pool.disk.stats.reads == reads + 1
+
     def test_stats_count(self):
         disk = DiskManager()
         page_id = disk.allocate()
